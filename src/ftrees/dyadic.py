@@ -80,6 +80,9 @@ class Dyadic:
         return a == b
 
     def __hash__(self) -> int:
+        # equal to an int exactly when integral, so hash like that int
+        if self.exponent == 0:
+            return hash(self.numerator)
         return hash((self.numerator, self.exponent))
 
     def __lt__(self, other: Union["Dyadic", int]) -> bool:

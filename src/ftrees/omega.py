@@ -7,7 +7,10 @@ orbit of 1 under
     f . p = f_0 p f_0* + f_1 (1 - p) f_1*.
 
 A projection lies in the orbit iff its trace is k / 2^(2m+1) with
-k = 2 (mod 3); `realize` produces an explicit witness.
+k = 2 (mod 3).  `realize` proves the converse constructively: one binary
+tree whose leaf-depth parities give the atoms of p even degree and those
+of 1 - p odd degree exists exactly when k = 2 (mod 3), and its leaves
+paired with those atoms form an explicit witness f with f . 1 = p.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from . import _packed
 from .dyadic import Dyadic
@@ -23,9 +26,8 @@ from .elements import (
     GroupElement,
     NotInF,
     Term,
-    inverse,
     is_order_preserving,
-    multiply,
+    multiply,  # noqa: F401 -- bench/test_bench.py checks its tracer rebinds omega.multiply
     parity_split,
     validate_unitary,
 )
@@ -129,7 +131,7 @@ def trace(p: DiagonalProjection) -> Dyadic:
     return total
 
 
-def _restrict_transport(support: Sequence[str], beta: str, alpha: str) -> list[str]:
+def _restrict_transport(support: tuple[str, ...], beta: str, alpha: str) -> list[str]:
     """Support of S_alpha (S_beta* p S_beta) S_alpha*: the part of p under
     beta, re-rooted at alpha."""
     out = []
@@ -143,20 +145,20 @@ def _restrict_transport(support: Sequence[str], beta: str, alpha: str) -> list[s
 
 
 def complement(p: DiagonalProjection) -> DiagonalProjection:
-    """1 - p: the maximal cylinders disjoint from the support."""
-    out: list[str] = []
+    """1 - p: the maximal cylinders disjoint from the support.
 
-    def walk(prefix: str, below: list[str]) -> None:
-        if any(b == "" for b in below):
-            return
-        if not below:
-            out.append(prefix)
-            return
-        for ch in ("1", "2"):
-            walk(prefix + ch, [b[1:] for b in below if b[0] == ch])
-
-    walk("", list(p.support))
-    return DiagonalProjection(out)
+    These are the siblings w[:i] + flip(w[i]) of the vertices on the paths
+    to the support words that are not themselves on such a path.
+    """
+    if p.is_zero():
+        return ONE
+    on_path = {w[:i] for w in p.support for i in range(len(w) + 1)}
+    out = {
+        w[:i] + ("2" if w[i] == "1" else "1")
+        for w in p.support
+        for i in range(len(w))
+    }
+    return _raw_projection(tuple(sorted(out - on_path)))
 
 
 def meet(p: DiagonalProjection, q: DiagonalProjection) -> DiagonalProjection:
@@ -240,176 +242,88 @@ def omega2_member(p: DiagonalProjection) -> Optional[tuple[int, int]]:
 # Constructive realization of admissible projections
 # ---------------------------------------------------------------------------
 #
-# realize() strips lex-consecutive triples of atoms from the target
-# support (each step an explicit order-preserving element built from
-# five partial isometries, and verified by evaluating the action) until
-# only two atoms remain; the two-atom base case is built directly by
-# choosing a domain code whose leaf-depth parities make exactly the
-# target cylinders the ranges of the even-degree terms.
+# realize() builds its witness in one pass.  The atoms of p and of 1 - p,
+# in lex order, are the range words of the terms; a binary tree whose
+# leaves are the domain words is grown so that each leaf depth has the
+# parity that gives atoms of p even degree and atoms of 1 - p odd degree
+# (splitting an atom in two where the parities demand it).  The even part
+# of the element then has range p, so f . 1 = p.
 
 
-def _parity_weight(parity: int) -> int:
-    # Kraft contribution mod 3 of a leaf whose depth has this parity
-    return 1 if parity % 2 == 0 else 2
+def _solve_parities(items: list[tuple[str, int]]) -> list[Term]:
+    """Terms (range word, domain word) pairing `items` with the leaves of
+    a binary tree whose leaf depths have the required parities.
 
-
-def _solve_parities(items: list[tuple[int, str, str]]) -> list[tuple[str, str, str]]:
-    """Leaves (domain word, atom word, suffix) of a binary tree whose
-    leaf-depth parities match the requested ones.
-
-    `items` holds (required parity, atom word, suffix so far); atoms may
-    be split, flipping the required parity of both children.  Solvable
-    exactly when the parity weights sum to 1 mod 3; a split point whose
-    prefix weight is 2 mod 3 always exists after at most one split of the
-    leading item.
+    `items` holds (range word, required degree parity) in lex order.  At a
+    node of depth d an item weighs 1 if a leaf there would have even depth
+    below the node, else 2: its Kraft share mod 3.  A node is solvable
+    exactly when its weights sum to 1 mod 3; it splits where the prefix
+    weight is 2 mod 3, which flips every weight on both sides.  Without
+    such a point the weights alternate 1, 2, ..., 1, and splitting a
+    weight-1 item into two weight-2 halves makes one.  The split nearest
+    the middle keeps the tree about log2 of the item count deep.
     """
-    total = sum(_parity_weight(p) for p, _, _ in items) % 3
+
+    def weights(items: list[tuple[str, int]], depth: int) -> list[int]:
+        return [1 + (len(a) + odd + depth) % 2 for a, odd in items]
+
+    total = sum(weights(items, 0)) % 3
     if total != 1:
         raise AssertionError(f"unsolvable parity sequence (weight {total})")
-    if len(items) == 1 and items[0][0] % 2 == 0:
-        parity, atom, suffix = items[0]
-        return [("", atom, suffix)]
-    prefix = 0
-    split = None
-    for j in range(len(items) - 1):
-        prefix = (prefix + _parity_weight(items[j][0])) % 3
-        if prefix == 2:
-            split = j + 1
-            break
-    if split is None:
-        # stuck pattern starts with an even requirement: split that atom
-        parity, atom, suffix = items[0]
-        items = [
-            (parity + 1, atom, suffix + "1"),
-            (parity + 1, atom, suffix + "2"),
-        ] + items[1:]
-        split = 1
-    left = [(p + 1, a, s) for p, a, s in items[:split]]
-    right = [(p + 1, a, s) for p, a, s in items[split:]]
-    return [("1" + w, a, s) for w, a, s in _solve_parities(left)] + [
-        ("2" + w, a, s) for w, a, s in _solve_parities(right)
-    ]
+    terms: list[Term] = []
+    stack = [("", items)]
+    while stack:
+        node, items = stack.pop()
+        n = len(items)
+        if n == 1:
+            terms.append(Term(items[0][0], node))
+            continue
+        ws = weights(items, len(node))
+        prefix, split = 0, None
+        for j in range(1, n):
+            prefix = (prefix + ws[j - 1]) % 3
+            if prefix == 2 and (split is None or abs(2 * j - n) < abs(2 * split - n)):
+                split = j
+        if split is None:
+            i = min(range(0, n, 2), key=lambda i: abs(2 * i + 1 - n))
+            a, odd = items[i]
+            items = items[:i] + [(a + "1", odd), (a + "2", odd)] + items[i + 1 :]
+            split = i + 1
+        stack.append((node + "2", items[split:]))
+        stack.append((node + "1", items[:split]))
+    return terms
 
 
 def _element_with_invariant(p: DiagonalProjection) -> GroupElement:
     """An f in F with f . 1 = p, built in one pass from a parity tree."""
-    comp = complement(p)
-    atoms = sorted(
-        [(w, True) for w in p.support] + [(w, False) for w in comp.support]
+    items = sorted(
+        [(w, 0) for w in p.support] + [(w, 1) for w in complement(p).support]
     )
-    items = []
-    for w, inside in atoms:
-        parity = len(w) % 2 if inside else (len(w) + 1) % 2
-        items.append((parity, w, ""))
-    leaves = _solve_parities(items)
-    terms = [Term(atom + suffix, b) for b, atom, suffix in leaves]
-    return validate_unitary(terms)
-
-
-def _interval_words(level: int, lo: str, hi: str) -> list[str]:
-    """Level-`level` words strictly between lo and hi in lex order."""
-    lo_i, hi_i = _packed.atom_index(lo), _packed.atom_index(hi)
-    out = []
-    for idx in range(lo_i + 1, hi_i):
-        w = "".join("2" if idx >> (level - 1 - j) & 1 else "1" for j in range(level))
-        out.append(w)
-    return out
-
-
-def _triple_removal_element(level: int, triple: Sequence[str]) -> GroupElement:
-    """The order-preserving element moving P(support) to P(support minus
-    triple), where the triple is lex-consecutive within the support.
-
-    Five partial isometries squeeze the cylinders of a1, a2, a3 into the
-    slack between them; everything outside the interval [a1, a3] is
-    fixed.  The words strictly between consecutive support atoms are not
-    in the support, which is exactly what makes the action clean.
-    """
-    a1, a2, a3 = triple
-    mus = _interval_words(level, a1, a2)
-    nus = _interval_words(level, a2, a3)
-    terms: list[Term] = []
-    # identity on the complement of the interval [a1 .. a3]
-    inside = {a1, a2, a3, *mus, *nus}
-    outside = complement(DiagonalProjection(inside))
-    terms.extend(Term(w, w) for w in outside.support)
-    # u1: a1 compressed into its left half
-    terms.append(Term(a1 + "1", a1))
-    if mus:
-        # u2: the mu block translated back by half an atom
-        terms.append(Term(a1 + "2", mus[0] + "1"))
-        for j, mu in enumerate(mus):
-            terms.append(Term(mu + "1", mu + "2"))
-            if j + 1 < len(mus):
-                terms.append(Term(mu + "2", mus[j + 1] + "1"))
-        # u3: a2 compressed into the freed right half of the last mu
-        terms.append(Term(mus[-1] + "2", a2))
-    else:
-        terms.append(Term(a1 + "2", a2))
-    if nus:
-        # u4: the nu block shifted down one atom
-        terms.append(Term(a2, nus[0]))
-        for i in range(1, len(nus)):
-            terms.append(Term(nus[i - 1], nus[i]))
-        # u5: a3 stretched over the last nu slot and itself
-        terms.append(Term(nus[-1], a3 + "1"))
-        terms.append(Term(a3, a3 + "2"))
-    else:
-        terms.append(Term(a2, a3 + "1"))
-        terms.append(Term(a3, a3 + "2"))
-    return validate_unitary(terms)
-
-
-def _refine_to_level(p: DiagonalProjection, level: int) -> list[str]:
-    words: list[str] = []
-    for w in p.support:
-        if len(w) > level:
-            raise ValueError(f"support word {w} deeper than level {level}")
-        suffixes = [""]
-        for _ in range(level - len(w)):
-            suffixes = [s + ch for s in suffixes for ch in ("1", "2")]
-        words.extend(w + s for s in suffixes)
-    return sorted(words)
+    return validate_unitary(_solve_parities(items))
 
 
 def realize(p: DiagonalProjection) -> GroupElement:
     """An element f of F with f . 1 = p, certified before returning.
 
-    Works at the uniform odd level implied by the trace; strips the three
-    lex-first support atoms per step down to a two-atom base case, then
-    composes the inverses of the removal steps with the base witness.
+    The witness pairs the atoms of p and of 1 - p, in lex order, with the
+    leaves of one binary tree (its domain code).  An atom w of p needs a
+    leaf whose depth has the parity of |w| (an even-degree term), an atom
+    of 1 - p the other parity.  A leaf at depth d adds 2^(D-d) = (-1)^d
+    (mod 3) to the Kraft sum scaled by 2^D, D even, and that sum is
+    2^D = 1 (mod 3).  Write tau(p) = k/2^N with N odd and at least every
+    |w|: then k = sum_p 2^(N-|w|) = -sum_p (-1)^|w| and, as 2^N = -1,
+    -1 - k = -sum_(1-p) (-1)^|w| (mod 3).  So the required parities weigh
+    sum_p (-1)^|w| - sum_(1-p) (-1)^|w| = -k - (k + 1) = k + 2 (mod 3),
+    which is 1 exactly when k = 2 (mod 3): the trace test.  Every weight
+    sequence summing to 1 has a tree (`_solve_parities`), so realize
+    succeeds on all of Omega_2 in one pass, at a cost that grows with the
+    atom count of p and 1 - p rather than with 2^level.
     """
-    km = omega2_member(p)
-    if km is None:
+    if omega2_member(p) is None:
         raise NotInOmega2(f"tau = {trace(p)} is not k/2^(2m+1) with k = 2 mod 3")
-    _, m = km
-    # odd working level deep enough for the whole support; going deeper
-    # in steps of two multiplies k by 4, preserving the residue
-    level = max(2 * m + 1, *(len(w) for w in p.support))
-    if level % 2 == 0:
-        level += 1
-    current = _refine_to_level(p, level)
-    steps: list[GroupElement] = []
-    current_proj = p
-    while len(current) > 2:
-        triple = current[:3]
-        f_step = _triple_removal_element(level, triple)
-        removed = DiagonalProjection(current[3:])
-        if act(f_step, current_proj) != removed:
-            raise InternalSearchExhausted(
-                f"triple removal failed at {current_proj} -> {removed}"
-            )
-        steps.append(f_step)
-        current = current[3:]
-        current_proj = removed
-    base = _element_with_invariant(current_proj)
-    if act(base, ONE) != current_proj:
-        raise InternalSearchExhausted(f"base witness failed for {current_proj}")
-    f = base
-    for step in reversed(steps):
-        f = multiply(inverse(step), f)
-    if act(f, ONE) != p:
-        raise InternalSearchExhausted(f"assembled witness failed for {p}")
+    f = _element_with_invariant(p)
+    if not is_order_preserving(f) or act(f, ONE) != p:
+        raise InternalSearchExhausted(f"parity-tree witness failed for {p}")
     return f
 
 

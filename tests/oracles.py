@@ -33,6 +33,40 @@ def eval_element(f: GroupElement, x: Fraction) -> Fraction:
     raise AssertionError(f"no term covers {x}")
 
 
+def _merged(intervals) -> list[tuple[Fraction, Fraction]]:
+    out: list[tuple[Fraction, Fraction]] = []
+    for lo, hi in sorted(intervals):
+        if out and out[-1][1] == lo:
+            out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def witnesses_orbit_point(f: GroupElement, p: DiagonalProjection) -> bool:
+    """Whether f is in F and f . 1 = p, read off the intervals of f's terms.
+
+    In beta order the beta intervals and the alpha intervals must each
+    tile [0, 1] left to right (an increasing PL map), and the alpha
+    intervals of the even-degree terms must cover exactly the intervals
+    of p's support.
+    """
+    terms = sorted(f.terms, key=lambda t: interval_of_word(t.beta))
+    for side in (lambda t: t.beta, lambda t: t.alpha):
+        end = Fraction(0)
+        for t in terms:
+            lo, hi = interval_of_word(side(t))
+            if lo != end:
+                return False
+            end = hi
+        if end != 1:
+            return False
+    even = [t.alpha for t in terms if (len(t.alpha) - len(t.beta)) % 2 == 0]
+    return _merged(map(interval_of_word, even)) == _merged(
+        map(interval_of_word, p.support)
+    )
+
+
 def pl_equal(f: GroupElement, g_values: dict[Fraction, Fraction], grid_exp: int) -> bool:
     """Whether f agrees with tabulated values on the 2^-grid_exp grid."""
     step = Fraction(1, 2 ** grid_exp)

@@ -87,6 +87,18 @@ def test_coset_and_realize(capsys):
     assert (code2, out2.strip()) == (0, "P[12]")
 
 
+def test_deep_support_words(capsys):
+    deep = "P[" + "1" * 1200 + "2]"
+    code, out, err = run_cli(capsys, "act", "1:11 + 21:12 + 22:2", deep)
+    assert (code, err) == (0, "")
+    assert out.strip().startswith("P[")
+    target = "P[" + "1" * 1199 + "2]"
+    code, out, err = run_cli(capsys, "realize", target)
+    assert (code, err) == (0, "")
+    code, out, _ = run_cli(capsys, "act", out.strip(), "1")
+    assert (code, out.strip()) == (0, target)
+
+
 def test_orbit_file_determinism(tmp_path, capsys):
     f1, f2 = tmp_path / "a.ldjson", tmp_path / "b.ldjson"
     assert run_cli(capsys, "orbit", "1", "--depth", "4", "--out", str(f1))[0] == 0

@@ -39,6 +39,13 @@ def test_int_interop():
     assert Dyadic(2, 0) == 2
 
 
+def test_equal_values_hash_equal():
+    for a, b in ((Dyadic(1), 1), (Dyadic(8, 2), 2), (Dyadic(-3), -3), (Dyadic(0, 4), 0)):
+        assert a == b and hash(a) == hash(b)
+    assert len({Dyadic(1), 1, Dyadic(2, 1)}) == 1
+    assert Dyadic(6, 4) in {Dyadic(3, 3)}
+
+
 def test_str_lowest_terms():
     assert str(Dyadic(5, 3)) == "5/8"
     assert str(Dyadic(1, 0)) == "1"

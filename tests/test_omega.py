@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -24,7 +25,7 @@ from ftrees.omega import (
     trace,
 )
 
-from oracles import atoms_at_level, closed_form_action
+from oracles import atoms_at_level, closed_form_action, witnesses_orbit_point
 
 X0, X1 = gen_x(0), gen_x(1)
 H = GroupElement.from_terms(
@@ -39,6 +40,12 @@ def random_projection(rng: random.Random, level: int = 6) -> DiagonalProjection:
         atoms = [a + ch for a in atoms for ch in ("1", "2")]
     chosen = [a for a in atoms if rng.random() < 0.5]
     return DiagonalProjection(chosen)
+
+
+def assert_realizes(p: DiagonalProjection) -> None:
+    f = realize(p)
+    assert act(f, ONE) == p
+    assert witnesses_orbit_point(f, p)
 
 
 def test_canonical_support():
@@ -170,11 +177,9 @@ def test_lipschitz_bound():
 
 
 def test_realize_examples():
-    assert act(realize(ONE), ONE).is_one()
+    assert_realizes(ONE)
     for support in (["12"], ["111", "2"], ["111", "121"], ["21"]):
-        p = DiagonalProjection(support)
-        f = realize(p)
-        assert act(f, ONE) == p
+        assert_realizes(DiagonalProjection(support))
     with pytest.raises(NotInOmega2):
         realize(DiagonalProjection(["1"]))
     with pytest.raises(NotInOmega2):
@@ -190,8 +195,7 @@ def test_realize_all_level3_supports():
         for sub in itertools.combinations(atoms, size):
             p = DiagonalProjection(sub)
             assert omega2_member(p) is not None
-            f = realize(p)
-            assert act(f, ONE) == p
+            assert_realizes(p)
             count += 1
     assert count == 28 + 56 + 1
 
@@ -204,9 +208,7 @@ def test_realize_random_level5():
     done = 0
     while done < 10:
         size = rng.choice([k for k in range(2, 33) if k % 3 == 2])
-        p = DiagonalProjection(rng.sample(atoms, size))
-        f = realize(p)
-        assert act(f, ONE) == p
+        assert_realizes(DiagonalProjection(rng.sample(atoms, size)))
         done += 1
 
 
@@ -279,5 +281,48 @@ def test_realize_mixed_level_supports():
         p = random_projection(rng, rng.randint(1, 6))
         if omega2_member(p) is None or p.is_one():
             continue
-        assert act(realize(p), ONE) == p
+        assert_realizes(p)
         found += 1
+
+
+def test_witness_oracle_rejects_wrong_witnesses():
+    p, q = DiagonalProjection(["12"]), DiagonalProjection(["21"])
+    assert witnesses_orbit_point(realize(p), p)
+    assert not witnesses_orbit_point(realize(q), p)
+    # swapping the halves has an even part covering 1, but reverses order
+    swap = GroupElement.from_terms([("1", "2"), ("2", "1")])
+    assert not witnesses_orbit_point(swap, ONE)
+
+
+def test_realize_level12_support():
+    rng = random.Random(12)
+    p = random_projection(rng, 12)
+    while omega2_member(p) is None:
+        p = random_projection(rng, 12)
+    assert len(p.support) >= 1400
+    assert_realizes(p)
+
+
+def test_realize_mixed_depth_support_is_fast():
+    # refining to the deepest level would need 2^38 words
+    p = DiagonalProjection(["2", "1" * 38 + "2"])
+    t0 = time.perf_counter()
+    f = realize(p)
+    assert time.perf_counter() - t0 < 1.0
+    assert act(f, ONE) == p
+    assert witnesses_orbit_point(f, p)
+
+
+def test_realize_deep_single_word():
+    p = DiagonalProjection(["1" * 1199 + "2"])
+    assert omega2_member(p) == (2, 600)
+    assert_realizes(p)
+
+
+def test_complement_of_deep_word():
+    w = "1" * 1200 + "2"
+    comp = complement(DiagonalProjection([w]))
+    assert len(comp.support) == len(w)
+    assert comp.support[0] == "1" * 1201
+    assert meet(comp, DiagonalProjection([w])).is_zero()
+    assert trace(comp) == 1 - trace(DiagonalProjection([w]))
