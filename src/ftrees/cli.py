@@ -249,7 +249,7 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     if args.depth > _max_depth():
         raise ValueError(f"depth {args.depth} exceeds FTREES_MAX_DEPTH={_max_depth()}")
     start = parse_projection(args.start, args.json)
-    run = omega.orbit_levels(start, args.depth, threads=args.threads)
+    run = omega.orbit_levels(start, args.depth)
     records = sorted(
         ((d, str(p)) for p, d in run.depths.items()), key=lambda r: (r[0], r[1])
     )
@@ -377,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="breadth-first orbit enumeration")
     p.add_argument("start")
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", default=None, help="write line-delimited JSON here")
     p.set_defaults(func=_cmd_orbit)
 

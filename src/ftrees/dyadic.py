@@ -23,9 +23,12 @@ class Dyadic:
         if exponent < 0:
             numerator <<= -exponent
             exponent = 0
-        while exponent > 0 and numerator % 2 == 0:
-            numerator //= 2
-            exponent -= 1
+        if numerator:
+            shift = min(exponent, (numerator & -numerator).bit_length() - 1)
+            numerator >>= shift
+            exponent -= shift
+        else:
+            exponent = 0
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "exponent", exponent)
 

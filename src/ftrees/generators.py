@@ -6,7 +6,9 @@ x_k = 1 - S_2^k S_2*^k + S_2^k x_0 S_2*^k for k >= 1.
 Every element of F has a unique normal form
 x_{j1} ... x_{jk} x_{il}^-1 ... x_{i1}^-1 with both index lists
 non-decreasing, jk != il, and: if m occurs in both lists then m+1 occurs
-in at least one of them.
+in at least one of them.  Its exponents are the leaf exponents of the
+reduced tree pair of the element (Cannon, Floyd and Parry, section 2),
+so `to_normal_form` reads them off the canonical terms.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .elements import (
     multiply,
     validate_unitary,
 )
-from .words import CompleteCode
 
 
 def gen_x(k: int) -> GroupElement:
@@ -122,103 +123,39 @@ def from_normal_form(nf: NormalFormWord) -> GroupElement:
     return element_of_word(nf.letters())
 
 
-def _positive_word(code: CompleteCode) -> list[int]:
-    """Indices k1, k2, ... with x_{k1} x_{k2} ... the unique order-preserving
-    element from the right comb onto `code`.
+def _leaf_exponents(leaves: Iterable[str]) -> tuple[int, ...]:
+    """Each index i repeated a_i times, a_i the exponent of leaf i.
 
-    Grow the code from the root by always splitting its lex-first leaf
-    that is a proper prefix of a target word.  Splitting leaf i of an
-    n-leaf code multiplies by x_i on the right, except that splitting the
-    last leaf is free (the domain comb absorbs it).
+    Write leaf i as stem + "1"^r with the stem not ending in "1".  Its
+    exponent is the length r of the left path ending at the leaf, less
+    one when that path starts on the right side of the tree (the stem is
+    all "2"s), since the path may not reach the right side.
     """
-    target = set(code.words)
-    current = [""]
-    word: list[int] = []
-    while len(current) < len(target):
-        n = len(current)
-        for i, leaf in enumerate(current):
-            if leaf not in target:
-                current[i : i + 1] = [leaf + "1", leaf + "2"]
-                if i < n - 1:
-                    word.append(i)
-                break
-    return word
-
-
-def _insert_letter(pos: list[int], neg: list[int], idx: int, sign: int) -> None:
-    """Multiply the seminormal word (pos, neg) by x_idx^sign on the right.
-
-    Implements the rewriting rules derived from x_j x_i -> x_i x_{j+1}
-    (i < j) together with free cancellation; each passage through a
-    letter either stops, increments an index, or cancels, so the walk
-    terminates after one sweep.
-    """
-    if sign < 0:
-        # bubble x_idx^-1 leftward through smaller negative indices
-        k = 0
-        while k < len(neg) and neg[k] < idx:
-            idx += 1
-            k += 1
-        neg.insert(k, idx)
-        return
-    # move x_idx left through the whole negative segment
-    k = 0
-    while k < len(neg):
-        if neg[k] == idx:
-            del neg[k]
-            return
-        if neg[k] < idx:
-            idx += 1
-        else:
-            neg[k] += 1
-        k += 1
-    # then into the positive segment past larger indices
-    k = len(pos)
-    while k > 0 and pos[k - 1] > idx:
-        pos[k - 1] += 1
-        k -= 1
-    pos.insert(k, idx)
-
-
-def _enforce_side_condition(pos: list[int], neg: list[int]) -> None:
-    """Cancel x_m ... x_m^-1 pairs whose scope contains no x_{m+1}.
-
-    Inside the scope all indices are >= m+2, and conjugation by x_m
-    (another face of the defining relations) lowers each of them by one.
-    """
-    while True:
-        shared = sorted(set(pos) & set(neg))
-        for m in shared:
-            if m + 1 in pos or m + 1 in neg:
-                continue
-            pos.remove(m)
-            neg.remove(m)
-            for lst in (pos, neg):
-                for i, v in enumerate(lst):
-                    if v > m + 1:
-                        lst[i] = v - 1
-            break
-        else:
-            return
+    out: list[int] = []
+    for i, w in enumerate(leaves):
+        stem = w.rstrip("1")
+        r = len(w) - len(stem)
+        out += [i] * (r - 1 if r and "1" not in stem else r)
+    return tuple(out)
 
 
 def to_normal_form(f: GroupElement) -> NormalFormWord:
     """Unique normal form of an order-preserving element.
 
-    Factor f = P(A) P(B)^-1 through the positive elements onto its range
-    and domain codes, rewrite to seminormal form, enforce the side
-    condition, and certify the result by multiplying it back out.
+    The canonical terms of f form its reduced tree pair, sorted by alpha
+    and so also by beta.  The normal form x_0^a_0 ... x_n^a_n
+    x_n^-b_n ... x_0^-b_0 reads a_i off leaf i of the range tree (the
+    alpha words) and b_i off leaf i of the domain tree (the beta words);
+    see Cannon, Floyd and Parry, "Introductory notes on Richard
+    Thompson's groups", Enseign. Math. 42 (1996), section 2.  The result
+    is certified by multiplying it back out.
     """
     if not is_order_preserving(f):
         raise NotInF("normal forms exist only for order-preserving elements")
-    letters = [(k, 1) for k in _positive_word(f.range_code())]
-    letters += [(k, -1) for k in reversed(_positive_word(f.domain_code()))]
-    pos: list[int] = []
-    neg: list[int] = []
-    for idx, sign in letters:
-        _insert_letter(pos, neg, idx, sign)
-    _enforce_side_condition(pos, neg)
-    nf = NormalFormWord(tuple(pos), tuple(neg))
+    nf = NormalFormWord(
+        _leaf_exponents(t.alpha for t in f.terms),
+        _leaf_exponents(t.beta for t in f.terms),
+    )
     if from_normal_form(nf).terms != f.terms:
         raise AssertionError(f"normal form {nf} does not reproduce {f}")
     return nf

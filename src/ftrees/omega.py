@@ -16,7 +16,6 @@ paired with those atoms form an explicit witness f with f . 1 = p.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -31,7 +30,7 @@ from .elements import (
     parity_split,
     validate_unitary,
 )
-from .words import check_word, is_antichain
+from .words import check_word, is_antichain, kraft_sum
 
 __all__ = [
     "DiagonalProjection",
@@ -125,10 +124,7 @@ ONE = DiagonalProjection(("",))
 
 def trace(p: DiagonalProjection) -> Dyadic:
     """Sum of 2^-|w| over the support; tau(P_w) = 2^-|w| exactly."""
-    total = Dyadic(0)
-    for w in p.support:
-        total = total + Dyadic(1, len(w))
-    return total
+    return kraft_sum(p.support)
 
 
 def _restrict_transport(support: tuple[str, ...], beta: str, alpha: str) -> list[str]:
@@ -162,14 +158,27 @@ def complement(p: DiagonalProjection) -> DiagonalProjection:
 
 
 def meet(p: DiagonalProjection, q: DiagonalProjection) -> DiagonalProjection:
-    """Lattice meet p ^ q, the product projection."""
-    out = set()
-    for a in p.support:
-        for b in q.support:
-            if b.startswith(a):
-                out.add(b)
-            elif a.startswith(b):
-                out.add(a)
+    """Lattice meet p ^ q, the product projection.
+
+    One merge walk over the two lex-sorted supports: of two
+    prefix-related atoms the longer one lies in the meet, and a word
+    sorts before every word that extends it.
+    """
+    a, b = p.support, q.support
+    out: list[str] = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        u, v = a[i], b[j]
+        if v.startswith(u):
+            out.append(v)
+            j += 1
+        elif u.startswith(v):
+            out.append(u)
+            i += 1
+        elif u < v:
+            i += 1
+        else:
+            j += 1
     return DiagonalProjection(out)
 
 
@@ -353,15 +362,8 @@ def _packed_generators() -> list[_packed.PackedElement]:
     ]
 
 
-def orbit_levels(
-    start: DiagonalProjection, depth: int, threads: int | None = None
-) -> OrbitRun:
-    """BFS under x0^+-1, x1^+-1 with discovery depths and timing.
-
-    The frontier may be fanned out over worker threads; results are
-    merged in frontier order, so the outcome is identical for any thread
-    count.
-    """
+def orbit_levels(start: DiagonalProjection, depth: int) -> OrbitRun:
+    """BFS under x0^+-1, x1^+-1 with discovery depths and timing."""
     if omega2_member(start) is None:
         raise NotInOmega2(f"orbit start {start} is not in Omega_2")
     gens = _packed_generators()
@@ -370,25 +372,10 @@ def orbit_levels(
     frontier = [start_packed]
     actions = 0
     t0 = time.perf_counter()
-
-    def expand(chunk: list[tuple[int, int]]) -> list[tuple[int, int]]:
-        out = []
-        for lv, mask in chunk:
-            for g in gens:
-                out.append(g.act(lv, mask))
-        return out
-
     for d in range(1, depth + 1):
         if not frontier:
             break
-        if threads and threads > 1 and len(frontier) > threads:
-            size = (len(frontier) + threads - 1) // threads
-            chunks = [frontier[i : i + size] for i in range(0, len(frontier), size)]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(expand, chunks))
-            produced = [q for chunk in results for q in chunk]
-        else:
-            produced = expand(frontier)
+        produced = [g.act(lv, mask) for lv, mask in frontier for g in gens]
         actions += len(produced)
         nxt = []
         for q in produced:
@@ -404,9 +391,7 @@ def orbit_levels(
     return OrbitRun(depths, actions, elapsed)
 
 
-def orbit(
-    start: DiagonalProjection, depth: int, threads: int | None = None
-) -> set[DiagonalProjection]:
+def orbit(start: DiagonalProjection, depth: int) -> set[DiagonalProjection]:
     """All projections reachable from `start` in at most `depth` generator
     applications."""
-    return orbit_levels(start, depth, threads).projections()
+    return orbit_levels(start, depth).projections()

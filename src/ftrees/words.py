@@ -68,11 +68,11 @@ def is_antichain(words: Iterable[str]) -> bool:
 
 
 def kraft_sum(words: Iterable[str]) -> Dyadic:
-    """Sum of 2^-|w| over the given words, exactly."""
-    total = Dyadic(0)
-    for w in words:
-        total = total + Dyadic(1, len(w))
-    return total
+    """Sum of 2^-|w| over the given words, exactly: one integer sum of
+    2^(L - |w|) over the common denominator 2^L, L the longest length."""
+    lengths = [len(w) for w in words]
+    top = max(lengths, default=0)
+    return Dyadic(sum(1 << (top - n) for n in lengths), top)
 
 
 @dataclass(frozen=True)

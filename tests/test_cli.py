@@ -102,7 +102,7 @@ def test_deep_support_words(capsys):
 def test_orbit_file_determinism(tmp_path, capsys):
     f1, f2 = tmp_path / "a.ldjson", tmp_path / "b.ldjson"
     assert run_cli(capsys, "orbit", "1", "--depth", "4", "--out", str(f1))[0] == 0
-    assert run_cli(capsys, "orbit", "1", "--depth", "4", "--threads", "4", "--out", str(f2))[0] == 0
+    assert run_cli(capsys, "orbit", "1", "--depth", "4", "--out", str(f2))[0] == 0
     assert f1.read_bytes() == f2.read_bytes()
     lines = f1.read_text().splitlines()
     header = json.loads(lines[0])

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,16 @@ def test_lowest_terms():
     assert Dyadic(6, 4) == Dyadic(3, 3)
     assert Dyadic(0, 5).exponent == 0
     assert Dyadic(8, 2) == Dyadic(2, 0)
+
+
+def test_lowest_terms_of_large_and_signed_values():
+    t0 = time.perf_counter()
+    assert Dyadic(1 << 40000, 40000) == 1
+    assert time.perf_counter() - t0 < 0.05
+    assert Dyadic(0, 5) == Dyadic(0)
+    assert repr(Dyadic(0, 5)) == repr(Dyadic(0)) == "Dyadic(0, 0)"
+    assert repr(Dyadic(-12, 3)) == "Dyadic(-3, 1)"
+    assert repr(Dyadic(-(1 << 50), 60)) == "Dyadic(-1, 10)"
 
 
 def test_arithmetic_matches_fractions():

@@ -108,6 +108,31 @@ def test_normal_form_examples():
     assert equals(from_normal_form(nf2), conj)
 
 
+def test_normal_form_reads_leaf_exponents():
+    f = multiply(gen_x(1), gen_x(0))
+    assert str(f) == "11:1 + 12:21 + 211:221 + 212:2221 + 22:2222"
+    # range leaves 11, 12, 211, 212, 22 have exponents 1, 0, 1, 0, 0 and
+    # every domain leaf has exponent 0
+    assert to_normal_form(f) == NormalFormWord((0, 2), ())
+    assert to_normal_form(GroupElement.identity()) == NormalFormWord((), ())
+
+
+def _random_tree(rng: random.Random, leaves: int) -> list[str]:
+    words = [""]
+    while len(words) < leaves:
+        i = rng.randrange(len(words))
+        words[i : i + 1] = [words[i] + "1", words[i] + "2"]
+    return words
+
+
+def test_normal_form_of_random_tree_pairs():
+    rng = random.Random(40)
+    for _ in range(300):
+        n = rng.randint(2, 40)
+        f = GroupElement.from_terms(zip(_random_tree(rng, n), _random_tree(rng, n)))
+        assert equals(from_normal_form(to_normal_form(f)), f)
+
+
 def test_to_normal_form_requires_f():
     t_gen = GroupElement.from_terms([("22", "1"), ("1", "21"), ("21", "22")])
     with pytest.raises(NotInF):
@@ -169,11 +194,11 @@ def test_parse_generator_word_loose():
 
 
 def test_normal_form_of_random_words():
-    random.seed(9)
+    rng = random.Random(9)
     for _ in range(80):
         letters = [
-            (random.randint(0, 2), random.choice((1, -1)))
-            for _ in range(random.randint(0, 7))
+            (rng.randint(0, 2), rng.choice((1, -1)))
+            for _ in range(rng.randint(0, 7))
         ]
         f = element_of_word(letters)
         nf = to_normal_form(f)
