@@ -1,127 +1,135 @@
-"""Bitmask engine for the orbit walk.
+"""Interval engine for the action, the complement and the orbit walk.
 
-A diagonal projection whose support sits at level L is a subset of the
-2^L level-L atoms, stored as an int with bit j = the j-th atom in lex
-order.  Generator actions become a handful of shift/mask/stretch
-operations on these ints, which is what makes large orbit sweeps cheap.
-The canonical form keeps the level minimal (no fully doubled pattern).
+A word w is the dyadic interval I(w) of [0, 1]: "1" the left half, "2"
+the right.  A diagonal projection is a finite union of such intervals,
+stored as (n, ends): the flat sorted endpoints a0, b0, a1, b1, ... of
+its merged intervals [a, b) in units of 2^-n.  n is minimal (not every
+endpoint is even), so the form is canonical and hashable.
+
+A term S_alpha S_beta* maps I(beta) affinely onto I(alpha), so an
+element acts by sending p on I(beta) to I(alpha) for even-degree terms
+and 1 - p for odd ones (the PL picture of F).  Costs grow with the number
+of intervals and terms, not with 2^n.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable
 
-# 0b0101... masks per bit width, grown on demand
-_EVEN_BITS: dict[int, int] = {}
-
-# hex digits of a zero-interleaved int back to base-4 digits
-_UNSPREAD_HEX = str.maketrans("0145", "0123")
+_TO_BITS = str.maketrans("12", "01")
+_TO_WORD = str.maketrans("01", "12")
 
 
-def _even_bits(nbits: int) -> int:
-    m = _EVEN_BITS.get(nbits)
-    if m is None:
-        m = int("55" * ((nbits + 7) // 8), 16) & ((1 << nbits) - 1)
-        _EVEN_BITS[nbits] = m
-    return m
+def pack(support: Iterable[str]) -> tuple[int, tuple[int, ...]]:
+    """(n, ends) of a canonical support (lex sorted, no sibling pair).
 
-
-def stretch(mask: int, times: int = 1) -> int:
-    """Double every bit, `times` times (level L -> L + times).
-
-    Reading the binary digits in base 4 interleaves a zero after each
-    bit; or-ing the result with its shift doubles the bit instead.
+    n is the longest word length, and already minimal: the odd endpoint
+    of a longest word would only merge away against its sibling.
     """
-    for _ in range(times):
-        if mask == 0:
-            break
-        spread = int(bin(mask)[2:], 4)
-        mask = spread * 3
-    return mask
-
-
-def _shrink_once(mask: int) -> int:
-    # inverse of stretch, assuming a fully doubled pattern
-    spread = mask & _even_bits(mask.bit_length() + 1)
-    return int(format(spread, "x").translate(_UNSPREAD_HEX), 4)
-
-
-def normalize(level: int, mask: int) -> tuple[int, int]:
-    """Shrink while the pattern is fully doubled; minimal-level form."""
-    while level > 0:
-        if (mask ^ (mask >> 1)) & _even_bits(1 << level):
-            break
-        mask = _shrink_once(mask)
-        level -= 1
-    return level, mask
-
-
-def atom_index(word: str) -> int:
-    """Lex rank of a word among same-length words ('1' left, '2' right)."""
-    idx = 0
-    for ch in word:
-        idx = (idx << 1) | (1 if ch == "2" else 0)
-    return idx
-
-
-def pack(support: Iterable[str]) -> tuple[int, int]:
-    """Canonical (level, mask) for an antichain of words."""
     ws = list(support)
-    level = max((len(w) for w in ws), default=0)
-    mask = 0
+    n = max(map(len, ws), default=0)
+    ends: list[int] = []
     for w in ws:
-        span = 1 << (level - len(w))
-        mask |= ((1 << span) - 1) << (atom_index(w) * span)
-    return normalize(level, mask)
+        shift = n - len(w)
+        a = int(w.translate(_TO_BITS) or "0", 2) << shift
+        if ends and ends[-1] == a:
+            ends[-1] = a + (1 << shift)
+        else:
+            ends += (a, a + (1 << shift))
+    return n, tuple(ends)
 
 
-def unpack(level: int, mask: int) -> tuple[str, ...]:
-    """Maximal-cylinder antichain of a packed projection, lex sorted."""
+def unpack(n: int, ends: tuple[int, ...]) -> tuple[str, ...]:
+    """The maximal aligned blocks of the intervals: the canonical support."""
     out: list[str] = []
-
-    def walk(prefix: str, m: int, bits: int) -> None:
-        if m == 0:
-            return
-        if m == (1 << bits) - 1:
-            out.append(prefix)
-            return
-        half = bits >> 1
-        walk(prefix + "1", m & ((1 << half) - 1), half)
-        walk(prefix + "2", m >> half, half)
-
-    walk("", mask, 1 << level)
+    for i in range(0, len(ends), 2):
+        a, b = ends[i], ends[i + 1]
+        while a < b:
+            k = (b - a).bit_length() - 1
+            if a:
+                k = min(k, (a & -a).bit_length() - 1)
+            # the leading 1 keeps the n - k digits of the block index
+            out.append(bin((a >> k) | (1 << (n - k)))[3:].translate(_TO_WORD))
+            a += 1 << k
     return tuple(out)
 
 
-class PackedElement:
-    """A group element compiled for mask-level action evaluation."""
+def complement(n: int, ends: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The gaps of the intervals; only the first and the last can be empty."""
+    gaps = (0, *ends, 1 << n)
+    if gaps[1] == 0:
+        gaps = gaps[2:]
+    if gaps and gaps[-2] == gaps[-1]:
+        gaps = gaps[:-2]
+    # an odd endpoint is neither 0 nor 2^n, so the gaps stay canonical
+    return (n, gaps) if gaps else (0, ())
 
-    __slots__ = ("terms", "min_level", "height")
+
+class PackedElement:
+    """An element of F compiled to affine maps on interval endpoints.
+
+    `terms` are the (alpha, beta) pairs of an order-preserving element in
+    alpha order, hence also in beta order.  Acting at scale base + k,
+    term t sends an endpoint e of I(beta) to (e << s) + (c << k) at scale
+    base + k + height, where base is the longest beta and height the
+    largest degree; the shifted tables are cached per k.
+    """
+
+    __slots__ = ("base", "height", "_tables")
 
     def __init__(self, terms: Iterable[tuple[str, str]]) -> None:
-        self.terms = [
-            (atom_index(a), len(a), atom_index(b), len(b), (len(a) - len(b)) % 2 == 0)
-            for a, b in terms
-        ]
-        self.min_level = max(t[3] for t in self.terms)
-        self.height = max(abs(t[1] - t[3]) for t in self.terms)
+        terms = list(terms)
+        base = self.base = max(len(b) for _, b in terms)
+        height = self.height = max(len(a) - len(b) for a, b in terms)
+        table = []
+        for a, b in terms:
+            size = 1 << (base - len(b))
+            lo = int(b.translate(_TO_BITS) or "0", 2) * size
+            s = height - len(a) + len(b)
+            c = (int(a.translate(_TO_BITS) or "0", 2) << (base + height - len(a))) - (lo << s)
+            table.append((lo, lo + size, s, c, (len(a) - len(b)) % 2 == 0))
+        self._tables = {0: table}
 
-    def act(self, level: int, mask: int) -> tuple[int, int]:
-        """Canonical packed form of (this element) . (the projection)."""
-        if level < self.min_level:
-            mask = stretch(mask, self.min_level - level)
-            level = self.min_level
-        out_level = level + self.height
-        comp = ((1 << (1 << level)) - 1) ^ mask
-        out = 0
-        for a_idx, a_len, b_idx, b_len, even in self.terms:
-            src = mask if even else comp
-            span_b = 1 << (level - b_len)
-            block = (src >> (b_idx * span_b)) & ((1 << span_b) - 1)
-            if block:
-                # target resolution minus source resolution
-                t = (out_level - a_len) - (level - b_len)
-                if t:
-                    block = stretch(block, t)
-                out |= block << (a_idx * (1 << (out_level - a_len)))
-        return normalize(out_level, out)
+    def act(self, n: int, ends: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        """Canonical (n, ends) of (this element) . (the projection).
+
+        Even terms map p on I(beta) onto I(alpha), odd terms 1 - p; the
+        images arrive in order, so touching ones merge as they come.
+        """
+        k = n - self.base
+        if k < 0:
+            ends = tuple(e << -k for e in ends)
+            k = 0
+        table = self._tables.get(k)
+        if table is None:
+            table = self._tables[k] = [
+                (lo << k, hi << k, s, c << k, even) for lo, hi, s, c, even in self._tables[0]
+            ]
+        comp = None
+        out: list[int] = []
+        for lo, hi, s, c, even in table:
+            if not even and comp is None:
+                comp = (0, *ends, 1 << (self.base + k))
+            src = ends if even else comp
+            j = bisect_right(src, lo) & -2
+            last = len(src)
+            while j < last:
+                a, b = src[j], src[j + 1]
+                if a >= hi:
+                    break
+                a = ((a if a > lo else lo) << s) + c
+                b = ((b if b < hi else hi) << s) + c
+                if out and out[-1] == a:
+                    out[-1] = b
+                else:
+                    out.append(a)
+                    out.append(b)
+                j += 2
+        if not out:
+            return 0, ()
+        acc = 0
+        for e in out:
+            acc |= e
+        z = (acc & -acc).bit_length() - 1  # the trailing zero bits all share
+        return self.base + k + self.height - z, tuple([e >> z for e in out])

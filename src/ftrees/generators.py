@@ -14,7 +14,7 @@ so `to_normal_form` reads them off the canonical terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .elements import (
     GroupElement,
@@ -172,23 +172,26 @@ def standard_generators() -> list[tuple[str, GroupElement]]:
     ]
 
 
-def generator_ball(radius: int) -> list[GroupElement]:
+def _ball_walk(radius: int) -> Iterator[GroupElement]:
     """Distinct elements of word length <= radius over x0^+-1, x1^+-1,
-    in breadth-first discovery order (deterministic)."""
+    yielded lazily in breadth-first discovery order (deterministic)."""
     gens = [g for _, g in standard_generators()]
-    seen: dict[tuple[Term, ...], GroupElement] = {}
-    out: list[GroupElement] = []
     frontier = [GroupElement.identity()]
-    seen[frontier[0].terms] = frontier[0]
-    out.append(frontier[0])
+    seen = {frontier[0].terms}
+    yield frontier[0]
     for _ in range(radius):
         nxt: list[GroupElement] = []
         for f in frontier:
             for g in gens:
                 h = multiply(f, g)
                 if h.terms not in seen:
-                    seen[h.terms] = h
+                    seen.add(h.terms)
                     nxt.append(h)
-                    out.append(h)
+                    yield h
         frontier = nxt
-    return out
+
+
+def generator_ball(radius: int) -> list[GroupElement]:
+    """Distinct elements of word length <= radius over x0^+-1, x1^+-1,
+    in breadth-first discovery order (deterministic)."""
+    return list(_ball_walk(radius))

@@ -11,6 +11,9 @@ k = 2 (mod 3).  `realize` proves the converse constructively: one binary
 tree whose leaf-depth parities give the atoms of p even degree and those
 of 1 - p odd degree exists exactly when k = 2 (mod 3), and its leaves
 paired with those atoms form an explicit witness f with f . 1 = p.
+`act`, `complement` and the orbit walk run on the merged dyadic
+intervals of the support (`_packed`), at a cost set by the interval and
+term counts rather than by 2^level.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .elements import (
     parity_split,
     validate_unitary,
 )
+from .generators import standard_generators
 from .words import check_word, is_antichain, kraft_sum
 
 __all__ = [
@@ -127,34 +131,14 @@ def trace(p: DiagonalProjection) -> Dyadic:
     return kraft_sum(p.support)
 
 
-def _restrict_transport(support: tuple[str, ...], beta: str, alpha: str) -> list[str]:
-    """Support of S_alpha (S_beta* p S_beta) S_alpha*: the part of p under
-    beta, re-rooted at alpha."""
-    out = []
-    for w in support:
-        if w.startswith(beta):
-            out.append(alpha + w[len(beta):])
-        elif beta.startswith(w):
-            out.append(alpha)
-            # an antichain contains at most one prefix of beta
-    return out
+def _via_intervals(p: DiagonalProjection, op) -> DiagonalProjection:
+    # p as intervals, through one step of the interval engine, and back
+    return _raw_projection(_packed.unpack(*op(*_packed.pack(p.support))))
 
 
 def complement(p: DiagonalProjection) -> DiagonalProjection:
-    """1 - p: the maximal cylinders disjoint from the support.
-
-    These are the siblings w[:i] + flip(w[i]) of the vertices on the paths
-    to the support words that are not themselves on such a path.
-    """
-    if p.is_zero():
-        return ONE
-    on_path = {w[:i] for w in p.support for i in range(len(w) + 1)}
-    out = {
-        w[:i] + ("2" if w[i] == "1" else "1")
-        for w in p.support
-        for i in range(len(w))
-    }
-    return _raw_projection(tuple(sorted(out - on_path)))
+    """1 - p: the gaps between the intervals of p."""
+    return _via_intervals(p, _packed.complement)
 
 
 def meet(p: DiagonalProjection, q: DiagonalProjection) -> DiagonalProjection:
@@ -195,20 +179,13 @@ def d_tau(p: DiagonalProjection, q: DiagonalProjection) -> Dyadic:
 def act(f: GroupElement, p: DiagonalProjection) -> DiagonalProjection:
     """The left action f . p = f_0 p f_0* + f_1 (1 - p) f_1*.
 
-    Even-degree terms transport the part of p under their domain word;
-    odd-degree terms transport the corresponding part of 1 - p.
+    Each term S_alpha S_beta* maps I(beta) affinely onto I(alpha):
+    even-degree terms carry the part of p there, odd-degree terms the
+    part of 1 - p.
     """
     if not is_order_preserving(f):
         raise NotInF("the action is defined for order-preserving elements")
-    even, odd = parity_split(f)
-    out: list[str] = []
-    for t in even:
-        out.extend(_restrict_transport(p.support, t.beta, t.alpha))
-    if odd:
-        comp = complement(p).support
-        for t in odd:
-            out.extend(_restrict_transport(comp, t.beta, t.alpha))
-    return DiagonalProjection(out)
+    return _via_intervals(p, _packed.PackedElement(f.terms).act)
 
 
 def h2_member(f: GroupElement) -> bool:
@@ -353,29 +330,19 @@ class OrbitRun:
         return set(self.depths)
 
 
-def _packed_generators() -> list[_packed.PackedElement]:
-    from .generators import standard_generators
-
-    return [
-        _packed.PackedElement([(t.alpha, t.beta) for t in g.terms])
-        for _, g in standard_generators()
-    ]
-
-
 def orbit_levels(start: DiagonalProjection, depth: int) -> OrbitRun:
     """BFS under x0^+-1, x1^+-1 with discovery depths and timing."""
     if omega2_member(start) is None:
         raise NotInOmega2(f"orbit start {start} is not in Omega_2")
-    gens = _packed_generators()
-    start_packed = _packed.pack(start.support)
-    seen: dict[tuple[int, int], int] = {start_packed: 0}
-    frontier = [start_packed]
+    gens = [_packed.PackedElement(g.terms) for _, g in standard_generators()]
+    frontier = [_packed.pack(start.support)]
+    seen = {frontier[0]: 0}
     actions = 0
     t0 = time.perf_counter()
     for d in range(1, depth + 1):
         if not frontier:
             break
-        produced = [g.act(lv, mask) for lv, mask in frontier for g in gens]
+        produced = [g.act(n, ends) for n, ends in frontier for g in gens]
         actions += len(produced)
         nxt = []
         for q in produced:
@@ -385,8 +352,7 @@ def orbit_levels(start: DiagonalProjection, depth: int) -> OrbitRun:
         frontier = nxt
     elapsed = time.perf_counter() - t0
     depths = {
-        _raw_projection(_packed.unpack(lv, mask)): dd
-        for (lv, mask), dd in seen.items()
+        _raw_projection(_packed.unpack(n, ends)): dd for (n, ends), dd in seen.items()
     }
     return OrbitRun(depths, actions, elapsed)
 

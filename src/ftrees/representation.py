@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .elements import GroupElement, NotInF, is_order_preserving
-from .generators import generator_ball
+from .generators import _ball_walk
 from .omega import ONE, DiagonalProjection, act, omega2_member
 
 
@@ -74,16 +74,19 @@ def separating_point(
 ) -> DiagonalProjection:
     """A projection p with f . p pairwise distinct over the family.
 
-    Candidates are p = g . 1 for g over generator balls of increasing
-    radius, tested directly; the first success in (radius, discovery)
-    order is returned, so the result is deterministic.
+    Candidates are p = g . 1 for g along one breadth-first walk of the
+    generator ball of radius max_radius, each point tested once; the
+    first success in (radius, discovery) order is returned, so the result
+    is deterministic.
     """
     for f in fs:
         if not is_order_preserving(f):
             raise NotInF("separating points are defined for families in F")
-    for radius in range(max_radius + 1):
-        for g in generator_ball(radius):
-            p = act(g, ONE)
+    tried: set[DiagonalProjection] = set()
+    for g in _ball_walk(max_radius):
+        p = act(g, ONE)
+        if p not in tried:
+            tried.add(p)
             images = [act(f, p) for f in fs]
             if len(set(images)) == len(images):
                 return p

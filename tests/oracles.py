@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own computation paths:
 elements are modelled as piecewise-linear maps over exact fractions,
-generator actions are hardcoded from their closed forms, and
-realizability is decided by exhausting fill counts.
+generator actions are hardcoded from their closed forms, the action on
+projections is string transport of support words, and realizability is
+decided by exhausting fill counts.
 """
 
 from __future__ import annotations
@@ -65,6 +66,44 @@ def witnesses_orbit_point(f: GroupElement, p: DiagonalProjection) -> bool:
     return _merged(map(interval_of_word, even)) == _merged(
         map(interval_of_word, p.support)
     )
+
+
+def complement_by_paths(p: DiagonalProjection) -> DiagonalProjection:
+    """1 - p as the siblings w[:i] + flip(w[i]) of the vertices on the
+    paths to the support words that are not themselves on such a path."""
+    if not p.support:
+        return DiagonalProjection([""])
+    on_path = {w[:i] for w in p.support for i in range(len(w) + 1)}
+    out = {
+        w[:i] + ("2" if w[i] == "1" else "1")
+        for w in p.support
+        for i in range(len(w))
+    }
+    return DiagonalProjection(out - on_path)
+
+
+def _transport(support, beta: str, alpha: str) -> list[str]:
+    """Support of S_alpha (S_beta* p S_beta) S_alpha*: the part of p under
+    beta, re-rooted at alpha."""
+    out = []
+    for w in support:
+        if w.startswith(beta):
+            out.append(alpha + w[len(beta):])
+        elif beta.startswith(w):
+            out.append(alpha)  # an antichain holds at most one prefix of beta
+    return out
+
+
+def act_by_transport(f: GroupElement, p: DiagonalProjection) -> DiagonalProjection:
+    """f . p = f_0 p f_0* + f_1 (1 - p) f_1* by moving support words: each
+    even-degree term re-roots the words of p under its beta at its alpha,
+    each odd-degree term those of 1 - p."""
+    comp = complement_by_paths(p).support
+    out: list[str] = []
+    for t in f.terms:
+        odd = (len(t.alpha) - len(t.beta)) % 2
+        out += _transport(comp if odd else p.support, t.beta, t.alpha)
+    return DiagonalProjection(out)
 
 
 def pl_equal(f: GroupElement, g_values: dict[Fraction, Fraction], grid_exp: int) -> bool:

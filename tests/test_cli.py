@@ -99,6 +99,16 @@ def test_deep_support_words(capsys):
     assert (code, out.strip()) == (0, target)
 
 
+def test_orbit_from_deep_start(capsys):
+    # a level-40 start is one interval, not a 2^40-bit mask
+    start = "P[" + "1" * 40 + "]"
+    code, out, err = run_cli(capsys, "orbit", start, "--depth", "2")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert json.loads(lines[0])["count"] == len(lines) - 1 > 1
+    assert json.loads(lines[1]) == {"depth": 0, "p": start}
+
+
 def test_orbit_file_determinism(tmp_path, capsys):
     f1, f2 = tmp_path / "a.ldjson", tmp_path / "b.ldjson"
     assert run_cli(capsys, "orbit", "1", "--depth", "4", "--out", str(f1))[0] == 0

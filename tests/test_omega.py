@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from ftrees import _packed
 from ftrees.dyadic import Dyadic
 from ftrees.elements import GroupElement, NotInF, height, inverse, multiply, parity_split
 from ftrees.generators import gen_x, generator_ball, standard_generators
@@ -20,11 +21,18 @@ from ftrees.omega import (
     meet,
     omega2_member,
     orbit,
+    orbit_levels,
     realize,
     trace,
 )
 
-from oracles import atoms_at_level, closed_form_action, witnesses_orbit_point
+from oracles import (
+    act_by_transport,
+    atoms_at_level,
+    closed_form_action,
+    complement_by_paths,
+    witnesses_orbit_point,
+)
 
 X0, X1 = gen_x(0), gen_x(1)
 H = GroupElement.from_terms(
@@ -39,6 +47,48 @@ def random_projection(rng: random.Random, level: int = 6) -> DiagonalProjection:
         atoms = [a + ch for a in atoms for ch in ("1", "2")]
     chosen = [a for a in atoms if rng.random() < 0.5]
     return DiagonalProjection(chosen)
+
+
+def random_antichain(rng: random.Random, max_depth: int) -> list[str]:
+    """Random antichain with words of mixed depths up to `max_depth`."""
+    out: list[str] = []
+    stack = [""]
+    while stack:
+        w = stack.pop()
+        if len(w) < max_depth and rng.random() < 0.7:
+            stack += [w + "2", w + "1"]
+        elif rng.random() < 0.5:
+            out.append(w)
+    return out
+
+
+def random_tree_pair(rng: random.Random, leaves: int) -> GroupElement:
+    """Random reduced order-preserving element with at most `leaves` leaves."""
+    trees = []
+    for _ in range(2):
+        words = [""]
+        while len(words) < leaves:
+            i = rng.randrange(len(words))
+            words[i : i + 1] = [words[i] + "1", words[i] + "2"]
+        trees.append(words)
+    return GroupElement.from_terms(zip(*trees))
+
+
+def naive_orbit(start: DiagonalProjection, depth: int) -> set[DiagonalProjection]:
+    """Breadth-first orbit under x0^+-1, x1^+-1 through the oracle action."""
+    gens = [g for _, g in standard_generators()]
+    seen = {start}
+    frontier = [start]
+    for _ in range(depth):
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = act_by_transport(g, p)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return seen
 
 
 def assert_realizes(p: DiagonalProjection) -> None:
@@ -248,19 +298,7 @@ def test_orbit_examples():
 
 
 def test_orbit_matches_naive_bfs():
-    gens = [g for _, g in standard_generators()]
-    seen = {ONE}
-    frontier = [ONE]
-    for _ in range(4):
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = act(g, p)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    assert orbit(ONE, 4) == seen
+    assert orbit(ONE, 4) == naive_orbit(ONE, 4)
 
 
 def test_orbit_members_pass_omega2():
@@ -270,19 +308,42 @@ def test_orbit_members_pass_omega2():
 
 def test_orbit_from_non_identity_start():
     start = DiagonalProjection(["12"])
-    gens = [g for _, g in standard_generators()]
-    seen = {start}
-    frontier = [start]
-    for _ in range(4):
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = act(g, p)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    assert orbit(start, 4) == seen
+    assert orbit(start, 4) == naive_orbit(start, 4)
+
+
+def test_orbit_from_deep_start():
+    # the start sits at level 40: 2^40 atoms, but one interval
+    start = DiagonalProjection(["1" * 40])
+    t0 = time.perf_counter()
+    got = orbit_levels(start, 3).projections()
+    assert time.perf_counter() - t0 < 1.0
+    assert got == naive_orbit(start, 3)
+
+
+def test_act_and_complement_match_transport_oracle():
+    rng = random.Random(14)
+    elements = generator_ball(4) + [random_tree_pair(rng, rng.randint(1, 20)) for _ in range(100)]
+    for f in elements:
+        supports = [ZERO, ONE] + [
+            DiagonalProjection(random_antichain(rng, rng.randint(1, 9))) for _ in range(4)
+        ]
+        for p in supports:
+            assert act(f, p) == act_by_transport(f, p)
+            assert complement(p) == complement_by_paths(p)
+
+
+def test_pack_unpack_round_trip():
+    rng = random.Random(15)
+    assert _packed.pack(ZERO.support) == (0, ())
+    assert _packed.pack(ONE.support) == (0, (0, 1))
+    # P[12] + P[21] is the one interval [1/4, 3/4)
+    assert _packed.pack(("12", "21")) == (2, (1, 3))
+    for _ in range(500):
+        p = DiagonalProjection(random_antichain(rng, rng.randint(1, 12)))
+        n, ends = _packed.pack(p.support)
+        assert n == 0 or any(e % 2 for e in ends)
+        assert all(a < b for a, b in zip(ends, ends[1:]))
+        assert _packed.unpack(n, ends) == p.support
 
 
 def test_realize_mixed_level_supports():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ftrees.elements import GroupElement, inverse, multiply
-from ftrees.generators import gen_x, generator_ball
+from ftrees.generators import _ball_walk, gen_x, generator_ball
 from ftrees.omega import ONE, DiagonalProjection, act
 from ftrees.representation import (
     FormalVector,
@@ -53,6 +53,40 @@ def test_separating_point_examples():
     assert separating_point([x0]) == ONE
     p = separating_point([x0, x1])
     assert act(x0, p) != act(x1, p)
+
+
+def _separating_point_by_radius(fs, max_radius=8):
+    """Reference search: rebuild the ball for each radius and retest all."""
+    for radius in range(max_radius + 1):
+        for g in generator_ball(radius):
+            p = act(g, ONE)
+            images = [act(f, p) for f in fs]
+            if len(set(images)) == len(images):
+                return p
+    return None
+
+
+def test_ball_walk_is_the_generator_ball():
+    sizes = []
+    for r in range(5):
+        ball = generator_ball(r)
+        assert [f.terms for f in ball] == [f.terms for f in _ball_walk(r)]
+        assert len({f.terms for f in ball}) == len(ball)
+        sizes.append(len(ball))
+    assert sizes == [1, 5, 17, 53, 161]
+
+
+def test_separating_point_matches_radius_search():
+    rng = random.Random(7)
+    families = [rng.sample(generator_ball(3), size) for size in (2, 4, 8, 16, 24, 32, 40, 48)]
+    families.append(rng.sample(generator_ball(4), 80))
+    radii = set()
+    for fs in families:
+        p = separating_point(fs)
+        assert p == _separating_point_by_radius(fs)
+        radii.add(next(r for r in range(9) if p in {act(g, ONE) for g in generator_ball(r)}))
+    # points come from several radii, so earlier candidates get skipped
+    assert len(radii) >= 4
 
 
 def test_search_exhausted_reported():
