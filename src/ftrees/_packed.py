@@ -22,10 +22,12 @@ _TO_WORD = str.maketrans("01", "12")
 
 
 def pack(support: Iterable[str]) -> tuple[int, tuple[int, ...]]:
-    """(n, ends) of a canonical support (lex sorted, no sibling pair).
+    """(n, ends) of a lex-sorted antichain of words.
 
-    n is the longest word length, and already minimal: the odd endpoint
-    of a longest word would only merge away against its sibling.
+    n is the longest word length.  For a canonical support (no sibling
+    pair) it is already minimal: the odd endpoint of a longest word would
+    only merge away against its sibling.  A word that starts before the
+    previous interval ends is a repeat or an extension of an earlier word.
     """
     ws = list(support)
     n = max(map(len, ws), default=0)
@@ -33,6 +35,8 @@ def pack(support: Iterable[str]) -> tuple[int, tuple[int, ...]]:
     for w in ws:
         shift = n - len(w)
         a = int(w.translate(_TO_BITS) or "0", 2) << shift
+        if ends and a < ends[-1]:
+            raise ValueError(f"support is not an antichain: {ws}")
         if ends and ends[-1] == a:
             ends[-1] = a + (1 << shift)
         else:

@@ -17,8 +17,6 @@ from typing import Sequence
 from . import boundary, omega, representation
 from .elements import (
     GroupElement,
-    NotInF,
-    NotUnitary,
     Term,
     inverse,
     is_cyclic_order_preserving,
@@ -41,11 +39,29 @@ def _max_depth() -> int:
         raise ValueError(f"FTREES_MAX_DEPTH={raw!r} is not an integer")
 
 
+def _json_object(text: str, *keys: str) -> dict:
+    """The JSON object in `text`; it must hold every key in `keys`."""
+    data = json.loads(text)
+    if not isinstance(data, dict) or any(k not in data for k in keys):
+        raise ValueError(f"expected a JSON object with keys {', '.join(keys)}")
+    return data
+
+
+def _json_words(value: object, what: str) -> list[str]:
+    """The words of a JSON list of word strings."""
+    if not isinstance(value, list) or not all(isinstance(w, str) for w in value):
+        raise ValueError(f"{what} must be a JSON list of words")
+    return [word_from_str(w) for w in value]
+
+
 def parse_element(text: str, as_json: bool = False) -> GroupElement:
     if as_json:
-        data = json.loads(text)
-        pairs = [(word_from_str(a), word_from_str(b)) for a, b in data["terms"]]
-        return GroupElement.from_terms(pairs)
+        terms = _json_object(text, "terms")["terms"]
+        if not isinstance(terms, list) or not all(
+            isinstance(t, list) and len(t) == 2 for t in terms
+        ):
+            raise ValueError("terms must be a JSON list of [alpha, beta] pairs")
+        return GroupElement.from_terms(_json_words(t, "a term") for t in terms)
     terms = []
     for chunk in text.split("+"):
         chunk = chunk.strip()
@@ -69,8 +85,8 @@ def format_element(f: GroupElement, as_json: bool = False) -> str:
 
 def parse_projection(text: str, as_json: bool = False) -> DiagonalProjection:
     if as_json:
-        data = json.loads(text)
-        return DiagonalProjection(word_from_str(w) for w in data["support"])
+        data = _json_object(text, "support")
+        return DiagonalProjection(_json_words(data["support"], "support"))
     text = text.strip()
     if text == "0":
         return omega.ZERO
@@ -94,10 +110,12 @@ def format_projection(p: DiagonalProjection, as_json: bool = False) -> str:
 
 
 def parse_pair(text: str) -> boundary.PairTruncation:
-    data = json.loads(text)
+    data = _json_object(text, "depth", "left", "right")
     depth = data["depth"]
-    left = boundary.TreeTruncation(depth, (word_from_str(v) for v in data["left"]))
-    right = boundary.TreeTruncation(depth, (word_from_str(v) for v in data["right"]))
+    if not isinstance(depth, int) or isinstance(depth, bool):
+        raise ValueError("depth must be a JSON integer")
+    left = boundary.TreeTruncation(depth, _json_words(data["left"], "left"))
+    right = boundary.TreeTruncation(depth, _json_words(data["right"], "right"))
     return boundary.PairTruncation(left, right)
 
 
@@ -413,22 +431,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    # every input error of the library is a ValueError, JSON syntax errors too
     try:
         return args.func(args)
-    except (
-        ValueError,
-        NotUnitary,
-        NotInF,
-        KeyError,
-        json.JSONDecodeError,
-        omega.NotInOmega2,
-        boundary.MalformedPair,
-        boundary.ZeroProjection,
-        boundary.DepthTooShallow,
-        boundary.NotRealizable,
-        boundary.RigidPair,
-        representation.SearchExhausted,
-    ) as exc:
+    except (ValueError, KeyError, representation.SearchExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
-from .words import CompleteCode, check_word, common_refinement, word_to_str
+from .words import CompleteCode, _merge_walk, check_word, word_to_str
 
 
 class NotUnitary(ValueError):
@@ -145,18 +145,16 @@ def refine(u: GroupElement, target: CompleteCode, side: Side) -> list[Term]:
     so every term degree is preserved.
     """
     key = (lambda t: t.beta) if side is Side.DOMAIN else (lambda t: t.alpha)
+    terms = sorted(u.terms, key=key)
     out: list[Term] = []
-    for t in u.terms:
-        w = key(t)
-        if w in target:
-            out.append(t)
-            continue
-        suffixes = sorted(x[len(w):] for x in target if x.startswith(w) and x != w)
-        if not suffixes:
+    for i, j, piece in _merge_walk([key(t) for t in terms], target.words):
+        t = terms[i]
+        if len(piece) > len(target.words[j]):
             raise TargetNotARefinement(
-                f"{target} does not refine the {side.value} word {word_to_str(w)}"
+                f"{target} does not refine the {side.value} word {word_to_str(piece)}"
             )
-        out.extend(Term(t.alpha + s, t.beta + s) for s in suffixes)
+        s = piece[len(key(t)):]
+        out.append(Term(t.alpha + s, t.beta + s))
     return sorted(out)
 
 
@@ -170,15 +168,13 @@ def multiply_terms(
     :func:`multiply`, exposed so the intermediate term lists can be
     inspected (they are generally not sibling-reduced).
     """
-    if via is None:
-        via = common_refinement(u.domain_code(), w.range_code())
-    ru = refine(u, via, Side.DOMAIN)
-    rw = refine(w, via, Side.RANGE)
-    by_nu = {t.beta: t for t in ru}
+    # refined to `via`, both middle codes are `via`: the walk pairs them one to one
+    us = sorted(u.terms if via is None else refine(u, via, Side.DOMAIN), key=lambda t: t.beta)
+    ws = w.terms if via is None else refine(w, via, Side.RANGE)
     out = []
-    for t in rw:
-        s = by_nu[t.alpha]
-        out.append(Term(s.alpha, t.beta))
+    for i, j, piece in _merge_walk([t.beta for t in us], [t.alpha for t in ws]):
+        s, t = us[i], ws[j]
+        out.append(Term(s.alpha + piece[len(s.beta):], t.beta + piece[len(t.alpha):]))
     return sorted(out)
 
 

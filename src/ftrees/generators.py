@@ -23,12 +23,11 @@ from .elements import (
     inverse,
     is_order_preserving,
     multiply,
-    validate_unitary,
 )
 
 
 def gen_x(k: int) -> GroupElement:
-    """The canonical generator x_k."""
+    """The canonical generator x_k (its terms are reduced and alpha sorted)."""
     if k < 0:
         raise ValueError("generator index must be >= 0")
     prefix = "2" * k
@@ -38,7 +37,7 @@ def gen_x(k: int) -> GroupElement:
         Term(prefix + "12", prefix + "21"),
         Term(prefix + "2", prefix + "22"),
     ]
-    return validate_unitary(terms)
+    return GroupElement(tuple(terms))
 
 
 def equals(f: GroupElement, g: GroupElement) -> bool:

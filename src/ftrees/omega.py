@@ -34,7 +34,7 @@ from .elements import (
     validate_unitary,
 )
 from .generators import standard_generators
-from .words import check_word, is_antichain, kraft_sum
+from .words import check_word, kraft_sum
 
 __all__ = [
     "DiagonalProjection",
@@ -66,21 +66,6 @@ class InternalSearchExhausted(RuntimeError):
     """realize() could not certify a constructed element (should not occur)."""
 
 
-def _canonical_support(words: Iterable[str]) -> tuple[str, ...]:
-    """Sort and collapse full sibling pairs until none remain."""
-    stack: list[str] = []
-    for w in sorted(set(words)):
-        stack.append(w)
-        while (
-            len(stack) >= 2
-            and stack[-1].endswith("2")
-            and stack[-2] == stack[-1][:-1] + "1"
-        ):
-            parent = stack[-1][:-1]
-            stack[-2:] = [parent]
-    return tuple(stack)
-
-
 @dataclass(frozen=True)
 class DiagonalProjection:
     """Finite antichain of words: the projection sum of their cylinders.
@@ -93,10 +78,8 @@ class DiagonalProjection:
     support: tuple[str, ...]
 
     def __init__(self, support: Iterable[str]) -> None:
-        ws = [check_word(w) for w in support]
-        if not is_antichain(ws):
-            raise ValueError(f"support is not an antichain: {sorted(ws)}")
-        object.__setattr__(self, "support", _canonical_support(ws))
+        ws = sorted(check_word(w) for w in support)
+        object.__setattr__(self, "support", _packed.unpack(*_packed.pack(ws)))
 
     def is_zero(self) -> bool:
         return not self.support

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .dyadic import Dyadic
 
@@ -60,11 +60,9 @@ def lex_compare(u: str, v: str) -> Ordering:
 
 
 def is_antichain(words: Iterable[str]) -> bool:
+    # sorting puts a word right before its extensions and its repeats
     ws = sorted(words)
-    for a, b in zip(ws, ws[1:]):
-        if b.startswith(a):
-            return False
-    return len(set(ws)) == len(ws)
+    return not any(b.startswith(a) for a, b in zip(ws, ws[1:]))
 
 
 def kraft_sum(words: Iterable[str]) -> Dyadic:
@@ -96,12 +94,14 @@ class CompleteCode:
         return len(self.words)
 
     def __contains__(self, w: str) -> bool:
-        return w in set(self.words)
+        return w in self.words
 
     def refines(self, other: "CompleteCode") -> bool:
         """True iff every word here extends some word of `other`."""
-        others = other.words
-        return all(any(w.startswith(o) for o in others) for w in self.words)
+        return all(
+            len(piece) == len(self.words[i])
+            for i, _, piece in _merge_walk(self.words, other.words)
+        )
 
     def __str__(self) -> str:
         return "{" + ", ".join(word_to_str(w) for w in self.words) + "}"
@@ -117,17 +117,28 @@ def uniform_code(k: int) -> CompleteCode:
     return CompleteCode(words)
 
 
-def common_refinement(a: CompleteCode, b: CompleteCode) -> CompleteCode:
-    """Coarsest code refining both inputs.
+def _merge_walk(a: Sequence[str], b: Sequence[str]) -> Iterator[tuple[int, int, str]]:
+    """(i, j, piece) for the pieces of the common refinement of two
+    lex-sorted complete codes, in lex order; a[i] and b[j] are the words
+    that contain the piece.
 
-    For each word of `a`, either some word of `b` is a prefix of it (keep
-    it) or the words of `b` extending it tile its cylinder (keep those).
+    The current cylinders of a and b start at the same point, so one
+    current word is a prefix of the other, and the longer one is the next
+    piece.  Its side always advances.  The other side advances too when
+    the extra suffix holds no "1": then both cylinders end at the same
+    point.
     """
-    b_words = b.words
-    out: list[str] = []
-    for w in a:
-        if any(w.startswith(x) for x in b_words):
-            out.append(w)
-        else:
-            out.extend(x for x in b_words if x.startswith(w) and x != w)
-    return CompleteCode(out)
+    i = j = 0
+    while i < len(a) and j < len(b):
+        u, v = a[i], b[j]
+        a_longer = len(u) >= len(v)
+        piece, other = (u, v) if a_longer else (v, u)
+        yield i, j, piece
+        same_end = "1" not in piece[len(other):]
+        i += a_longer or same_end
+        j += not a_longer or same_end
+
+
+def common_refinement(a: CompleteCode, b: CompleteCode) -> CompleteCode:
+    """Coarsest code refining both inputs: the pieces of the merge walk."""
+    return CompleteCode(w for _, _, w in _merge_walk(a.words, b.words))

@@ -3,16 +3,19 @@
 Everything here deliberately avoids the library's own computation paths:
 elements are modelled as piecewise-linear maps over exact fractions,
 generator actions are hardcoded from their closed forms, the action on
-projections is string transport of support words, and realizability is
-decided by exhausting fill counts.
+projections is string transport of support words, refinement and
+multiplication are prefix scans and a dictionary match, and
+realizability is decided by exhausting fill counts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
-from ftrees.elements import GroupElement
+from ftrees.elements import GroupElement, Side, TargetNotARefinement, Term
 from ftrees.omega import DiagonalProjection
+from ftrees.words import CompleteCode, word_to_str
 
 
 def interval_of_word(w: str) -> tuple[Fraction, Fraction]:
@@ -128,6 +131,81 @@ def compose_values(
         out[x] = eval_element(u, eval_element(w, x))
         x += step
     return out
+
+
+def composition_agrees(h: GroupElement, u: GroupElement, w: GroupElement) -> bool:
+    """Whether h = u o w (w first) as maps of [0, 1), V elements included.
+
+    Each map sends I(beta) affinely onto I(alpha), term by term.  Both
+    sides are affine on each half-open piece between consecutive
+    breakpoints of h, of w and of w^-1 at the breakpoints of u, so they
+    agree everywhere iff they agree at each piece's left end and middle.
+    """
+
+    def pieces(f: GroupElement) -> list[tuple[Fraction, ...]]:
+        return sorted((*interval_of_word(b), *interval_of_word(a)) for a, b in f.terms)
+
+    def apply(ps: list[tuple[Fraction, ...]], x: Fraction) -> Fraction:
+        b_lo, b_hi, a_lo, a_hi = ps[bisect_right(ps, (x, 2)) - 1]
+        return a_lo + (x - b_lo) * (a_hi - a_lo) / (b_hi - b_lo)
+
+    ph, pu, pw = pieces(h), pieces(u), pieces(w)
+    pw_inv = sorted((a_lo, a_hi, b_lo, b_hi) for b_lo, b_hi, a_lo, a_hi in pw)
+    cuts = {x for ps in (ph, pw) for piece in ps for x in piece[:2]}
+    cuts |= {apply(pw_inv, y) for piece in pu for y in piece[:2] if y < 1}
+    cuts = sorted(cuts)
+    points = [x for a, b in zip(cuts, cuts[1:]) for x in (a, (a + b) / 2)]
+    return all(apply(ph, x) == apply(pu, apply(pw, x)) for x in points)
+
+
+def common_refinement_by_scan(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
+    """Coarsest code refining two complete codes: each word of `a` that
+    extends a word of `b` stays, any other is replaced by the words of `b`
+    that extend it."""
+    out: list[str] = []
+    for w in a:
+        if any(w.startswith(x) for x in b):
+            out.append(w)
+        else:
+            out.extend(x for x in b if x.startswith(w) and x != w)
+    return tuple(sorted(out))
+
+
+def refine_by_scan(u: GroupElement, target: CompleteCode, side: Side) -> list[Term]:
+    """u's terms split so that the chosen side's words are `target`; each
+    term's words take the suffixes of the target words that extend its
+    side word.  Raises TargetNotARefinement at the first term, in alpha
+    order, that has none."""
+    out: list[Term] = []
+    for t in u.terms:
+        w = t.beta if side is Side.DOMAIN else t.alpha
+        if w in target.words:
+            out.append(t)
+            continue
+        suffixes = sorted(x[len(w):] for x in target.words if x.startswith(w) and x != w)
+        if not suffixes:
+            raise TargetNotARefinement(
+                f"{target} does not refine the {side.value} word {word_to_str(w)}"
+            )
+        out.extend(Term(t.alpha + s, t.beta + s) for s in suffixes)
+    return sorted(out)
+
+
+def multiply_terms_by_match(
+    u: GroupElement, w: GroupElement, via: CompleteCode | None = None
+) -> list[Term]:
+    """Unreduced product uw: refine u's domain and w's range to `via` (by
+    default their common refinement) and match the terms by middle word."""
+    if via is None:
+        via = CompleteCode(
+            common_refinement_by_scan(
+                tuple(sorted(t.beta for t in u.terms)), tuple(t.alpha for t in w.terms)
+            )
+        )
+    by_middle = {t.beta: t for t in refine_by_scan(u, via, Side.DOMAIN)}
+    return sorted(
+        Term(by_middle[t.alpha].alpha, t.beta) for t in refine_by_scan(w, via, Side.RANGE)
+    )
 
 
 def atoms_at_level(p: DiagonalProjection, level: int) -> frozenset[str]:

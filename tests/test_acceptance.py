@@ -10,6 +10,7 @@ a strict expected failure with the counterexample inline.
 import itertools
 import json
 import random
+import statistics
 
 import pytest
 
@@ -320,10 +321,11 @@ def test_criterion_11_orbit_performance_and_determinism():
         for run in runs
     ]
     assert serialized[0] == serialized[1] == serialized[2]
-    rate = runs[0].action_evaluations / runs[0].seconds
-    assert rate >= 1e5, f"orbit rate {rate:.0f}/s below 1e5/s"
+    # the median of the three runs, so one slow phase of the machine cannot fail it
+    rate = statistics.median(run.action_evaluations / run.seconds for run in runs)
+    assert rate >= 1e5, f"median orbit rate {rate:.0f}/s below 1e5/s"
     _report(
         11,
-        f"orbit(1,7): {runs[0].action_evaluations} actions at {rate:,.0f}/s, "
-        "byte-identical across runs",
+        f"orbit(1,7): {runs[0].action_evaluations} actions at a median {rate:,.0f}/s "
+        "over 3 runs, byte-identical across runs",
     )

@@ -1,5 +1,10 @@
+import contextlib
+import io
 import json
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftrees.cli import (
     format_element,
@@ -199,3 +204,46 @@ def test_error_diagnostics(capsys):
     assert run_cli(capsys, "witness", json.dumps(
         {"depth": 1, "left": ["e", "1", "2"], "right": []}
     ))[0] == 2
+
+
+def test_json_of_the_wrong_shape_exits_2(capsys):
+    for argv in (
+        ["realizable", '{"depth": 2, "left": 5, "right": []}'],
+        ["witness", "[1]"],
+        ["--json", "act", "[]", "1"],
+        ["--json", "act", '{"terms": [["e", "e"], 5]}', '{"support": []}'],
+        ["--json", "act", '{"terms": [["e", "e"]]}', '{"support": [["1"]]}'],
+        ["realizable", '{"depth": true, "left": [], "right": []}'],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+
+
+JSON_WORDS = st.sampled_from(["e", "1", "2", "11", "12", "21", "22", "3", ""])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | JSON_WORDS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["terms", "support", "depth", "left", "right", "x"]), inner, max_size=4
+    ),
+    max_leaves=12,
+)
+FULL_PAIR = json.dumps({"depth": 1, "left": ["e", "1", "2"], "right": ["e", "1", "2"]})
+X0_JSON = json.dumps({"terms": [["11", "1"], ["12", "21"], ["2", "22"]]})
+
+
+@settings(max_examples=100, deadline=None)
+@given(JSON_VALUES)
+def test_any_json_value_exits_0_1_or_2(value):
+    text = json.dumps(value)
+    for argv in (
+        ["--json", "act", "--", text, '{"support": ["1"]}'],
+        ["--json", "act", "--", X0_JSON, text],
+        ["realizable", "--", text],
+        ["witness", "--", text],
+        ["--json", "boundary-act", "--", text, FULL_PAIR],
+        ["--json", "boundary-act", "--", X0_JSON, text],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2), argv

@@ -26,7 +26,15 @@ from ftrees.elements import (
 from ftrees.generators import gen_x, generator_ball
 from ftrees.words import CompleteCode, uniform_code
 
-from oracles import compose_values, eval_element, pl_equal
+from oracles import (
+    common_refinement_by_scan,
+    compose_values,
+    composition_agrees,
+    eval_element,
+    multiply_terms_by_match,
+    pl_equal,
+    refine_by_scan,
+)
 
 X0 = gen_x(0)
 
@@ -71,6 +79,58 @@ PRODUCT_DISPLAY = [
     ("21", "2221"),
     ("22", "2222"),
 ]
+
+
+def random_code(rng: random.Random, leaves: int) -> list[str]:
+    """Leaves, in lex order, of a binary tree grown by splitting random leaves."""
+    words = [""]
+    while len(words) < leaves:
+        i = rng.randrange(len(words))
+        words[i : i + 1] = [words[i] + "1", words[i] + "2"]
+    return words
+
+
+def random_element(rng: random.Random, leaves: int) -> GroupElement:
+    """Reduced element of a random tree pair; in V with its leaves
+    permuted half of the time, else in F."""
+    alphas, betas = random_code(rng, leaves), random_code(rng, leaves)
+    if rng.random() < 0.5:
+        rng.shuffle(betas)
+    return GroupElement.from_terms(zip(alphas, betas))
+
+
+def split_some(rng: random.Random, words: tuple[str, ...]) -> CompleteCode:
+    """A code refining `words`: each word split into two children a third
+    of the time, once more for one of them a third of the time after."""
+    out: list[str] = []
+    for w in words:
+        if rng.random() < 1 / 3:
+            kids = [w + "1", w + "2"]
+            if rng.random() < 1 / 3:
+                k = rng.randrange(2)
+                kids[k : k + 1] = [kids[k] + "1", kids[k] + "2"]
+            out += kids
+        else:
+            out.append(w)
+    return CompleteCode(out)
+
+
+def coarsen(rng: random.Random, words: tuple[str, ...]) -> CompleteCode:
+    """`words` with one random full sibling pair merged into its parent
+    (unchanged when there is none)."""
+    pairs = [i for i in range(len(words) - 1) if words[i + 1] == words[i][:-1] + "2"]
+    if not pairs:
+        return CompleteCode(words)
+    i = rng.choice(pairs)
+    return CompleteCode(words[:i] + (words[i][:-1],) + words[i + 2 :])
+
+
+def random_pairs(seed: int, count: int) -> list[tuple[GroupElement, GroupElement]]:
+    rng = random.Random(seed)
+    return [
+        (random_element(rng, rng.randint(1, 64)), random_element(rng, rng.randint(1, 64)))
+        for _ in range(count)
+    ]
 
 
 def test_validate_unitary_golden():
@@ -163,6 +223,65 @@ def test_multiply_against_pl_oracle():
             for e in (u, w, prod)
         )
         assert pl_equal(prod, compose_values(u, w, grid), grid)
+
+
+def test_multiply_matches_match_oracle():
+    rng = random.Random(12)
+    for u, w in random_pairs(11, 300):
+        got = multiply_terms(u, w)
+        assert got == multiply_terms_by_match(u, w)
+        assert multiply(u, w).terms == validate_unitary(got).terms
+        middle = common_refinement_by_scan(
+            tuple(sorted(t.beta for t in u.terms)), tuple(t.alpha for t in w.terms)
+        )
+        via = split_some(rng, middle)
+        assert multiply_terms(u, w, via) == multiply_terms_by_match(u, w, via)
+
+
+def test_multiply_of_random_pairs_against_pl_oracle():
+    pairs = random_pairs(13, 120)
+    assert any(not is_order_preserving(u) for u, _ in pairs)
+    for u, w in pairs:
+        prod = multiply(u, w)
+        assert composition_agrees(prod, u, w)
+        grid = 1 + max(max(len(a), len(b)) for f in (u, w, prod) for a, b in f.terms)
+        if grid <= 8 and is_order_preserving(u) and is_order_preserving(w):
+            assert pl_equal(prod, compose_values(u, w, grid), grid)
+
+
+def test_composition_oracle_rejects_wrong_products():
+    for u, w in random_pairs(14, 40):
+        if u.is_identity() or w.is_identity():
+            continue
+        assert composition_agrees(multiply(w, u), u, w) == (multiply(w, u) == multiply(u, w))
+        assert not composition_agrees(u, u, w)
+
+
+def test_refine_raises_where_the_scan_oracle_raises():
+    rng = random.Random(15)
+    raised = 0
+    for u, w in random_pairs(16, 200):
+        for side in (Side.DOMAIN, Side.RANGE):
+            words = tuple(sorted(t.beta if side is Side.DOMAIN else t.alpha for t in u.terms))
+            other = tuple(t.alpha for t in w.terms)
+            for target in (
+                split_some(rng, words),
+                CompleteCode(common_refinement_by_scan(words, other)),
+                CompleteCode(other),
+                coarsen(rng, words),
+            ):
+                try:
+                    want = refine_by_scan(u, target, side)
+                except TargetNotARefinement as exc:
+                    raised += 1
+                    with pytest.raises(TargetNotARefinement) as got:
+                        refine(u, target, side)
+                    if side is Side.RANGE or is_order_preserving(u):
+                        # the first failing term is the same in alpha and beta order
+                        assert str(got.value) == str(exc)
+                    continue
+                assert refine(u, target, side) == want
+    assert raised > 100
 
 
 def test_reduce_examples():

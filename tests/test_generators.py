@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ftrees.elements import GroupElement, NotInF, inverse, multiply
+from ftrees.elements import GroupElement, NotInF, inverse, multiply, validate_unitary
 from ftrees.generators import (
     NormalFormWord,
     element_of_word,
@@ -36,6 +36,12 @@ def test_gen_x_goldens():
         ("2212", "2221"),
         ("222", "2222"),
     ]
+
+
+def test_gen_x_is_canonical():
+    # gen_x builds its terms without validation; they must already be canonical
+    for k in range(65):
+        assert gen_x(k) == validate_unitary(list(gen_x(k).terms))
 
 
 def test_presentation_relations():

@@ -103,6 +103,8 @@ def test_canonical_support():
     assert DiagonalProjection([]).is_zero()
     with pytest.raises(ValueError):
         DiagonalProjection(["1", "12"])
+    with pytest.raises(ValueError):
+        DiagonalProjection(["1", "1"])
 
 
 def test_trace_examples():

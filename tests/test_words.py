@@ -16,6 +16,8 @@ from ftrees.words import (
     word_to_str,
 )
 
+from oracles import common_refinement_by_scan
+
 words = st.text(alphabet="12", max_size=7)
 
 
@@ -95,6 +97,26 @@ def test_common_refinement_properties():
         assert common_refinement(r1, a).words == r1.words
         assert common_refinement(r1, b).words == r1.words
         assert r1.refines(a) and r1.refines(b)
+
+
+def test_common_refinement_matches_scan_oracle():
+    import random
+
+    rng = random.Random(17)
+
+    def random_code(leaves: int) -> CompleteCode:
+        words = [""]
+        while len(words) < leaves:
+            i = rng.randrange(len(words))
+            words[i : i + 1] = [words[i] + "1", words[i] + "2"]
+        return CompleteCode(words)
+
+    for _ in range(300):
+        a, b = random_code(rng.randint(1, 64)), random_code(rng.randint(1, 64))
+        assert common_refinement(a, b).words == common_refinement_by_scan(a.words, b.words)
+        for x, y in ((a, b), (b, a)):
+            by_scan = all(any(w.startswith(o) for o in y.words) for w in x.words)
+            assert x.refines(y) == by_scan
 
 
 def test_code_characterization_and_catalan():
