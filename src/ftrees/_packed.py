@@ -1,33 +1,46 @@
-"""Interval engine for the action, the complement and the orbit walk.
+"""Interval engine: the one representation of a diagonal projection.
 
 A word w is the dyadic interval I(w) of [0, 1]: "1" the left half, "2"
 the right.  A diagonal projection is a finite union of such intervals,
 stored as (n, ends): the flat sorted endpoints a0, b0, a1, b1, ... of
 its merged intervals [a, b) in units of 2^-n.  n is minimal (not every
-endpoint is even), so the form is canonical and hashable.
+endpoint is even), so the form is canonical and hashable.  Words are
+made only at the edges: `pack` reads a support, `unpack` writes one.
 
 A term S_alpha S_beta* maps I(beta) affinely onto I(alpha), so an
 element acts by sending p on I(beta) to I(alpha) for even-degree terms
-and 1 - p for odd ones (the PL picture of F).  Costs grow with the number
-of intervals and terms, not with 2^n.
+and 1 - p for odd ones (the PL picture of F).  The lattice operations
+are the set operations on the intervals.  Costs grow with the number of
+intervals and terms, not with 2^n.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable
+from typing import Callable, Iterable
 
 _TO_BITS = str.maketrans("12", "01")
 _TO_WORD = str.maketrans("01", "12")
 
 
-def pack(support: Iterable[str]) -> tuple[int, tuple[int, ...]]:
-    """(n, ends) of a lex-sorted antichain of words.
+def _canonical(n: int, ends: list[int]) -> tuple[int, tuple[int, ...]]:
+    """(n, ends) of merged intervals, n lowered until an endpoint is odd."""
+    if not ends:
+        return 0, ()
+    acc = 0
+    for e in ends:
+        acc |= e
+    z = (acc & -acc).bit_length() - 1  # the trailing zero bits all share
+    return n - z, tuple([e >> z for e in ends])
 
-    n is the longest word length.  For a canonical support (no sibling
-    pair) it is already minimal: the odd endpoint of a longest word would
-    only merge away against its sibling.  A word that starts before the
-    previous interval ends is a repeat or an extension of an earlier word.
+
+def pack(support: Iterable[str]) -> tuple[int, tuple[int, ...]]:
+    """Canonical (n, ends) of a lex-sorted antichain of words.
+
+    Lex order is left-to-right order, so touching intervals are adjacent
+    and merge as they come (sibling pairs included).  A word that starts
+    before the previous interval ends is a repeat or an extension of an
+    earlier word.
     """
     ws = list(support)
     n = max(map(len, ws), default=0)
@@ -41,7 +54,7 @@ def pack(support: Iterable[str]) -> tuple[int, tuple[int, ...]]:
             ends[-1] = a + (1 << shift)
         else:
             ends += (a, a + (1 << shift))
-    return n, tuple(ends)
+    return _canonical(n, ends)
 
 
 def unpack(n: int, ends: tuple[int, ...]) -> tuple[str, ...]:
@@ -68,6 +81,28 @@ def complement(n: int, ends: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         gaps = gaps[:-2]
     # an odd endpoint is neither 0 nor 2^n, so the gaps stay canonical
     return (n, gaps) if gaps else (0, ())
+
+
+def combine(
+    op: Callable[[bool, bool], bool], n: int, a: tuple[int, ...], m: int, b: tuple[int, ...]
+) -> tuple[int, tuple[int, ...]]:
+    """The set where op(in a, in b) holds, by one sweep over both endpoints.
+
+    Membership flips at each endpoint; a boundary met twice at one point
+    cancels, which merges touching intervals and drops empty ones.
+    """
+    top = max(n, m)
+    events = sorted([(e << (top - n), 0) for e in a] + [(e << (top - m), 1) for e in b])
+    inside = [False, False]
+    out: list[int] = []
+    for x, side in events:
+        inside[side] = not inside[side]
+        if op(*inside) != len(out) % 2:
+            if out and out[-1] == x:
+                out.pop()
+            else:
+                out.append(x)
+    return _canonical(top, out)
 
 
 class PackedElement:
@@ -130,10 +165,4 @@ class PackedElement:
                     out.append(a)
                     out.append(b)
                 j += 2
-        if not out:
-            return 0, ()
-        acc = 0
-        for e in out:
-            acc |= e
-        z = (acc & -acc).bit_length() - 1  # the trailing zero bits all share
-        return self.base + k + self.height - z, tuple([e >> z for e in out])
+        return _canonical(self.base + k + self.height, out)

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .elements import GroupElement, NotInF, height, is_order_preserving, parity_split
 from .omega import DiagonalProjection, complement, omega2_member
-from .words import check_word
+from .words import check_word, word_to_str
 
 
 class ZeroProjection(ValueError):
@@ -74,12 +74,7 @@ class TreeTruncation:
 
     @classmethod
     def full(cls, depth: int) -> "TreeTruncation":
-        out = [""]
-        layer = [""]
-        for _ in range(depth):
-            layer = [v + ch for v in layer for ch in ("1", "2")]
-            out.extend(layer)
-        return cls(depth, out)
+        return cls(depth, _support_vertices([""], depth))
 
     @classmethod
     def empty(cls, depth: int) -> "TreeTruncation":
@@ -108,8 +103,6 @@ class TreeTruncation:
         return sorted(self.vertices, key=lambda v: (len(v), v))
 
     def __str__(self) -> str:
-        from .words import word_to_str
-
         return "{" + ", ".join(word_to_str(v) for v in self.sorted_vertices()) + "}"
 
 
@@ -218,29 +211,14 @@ def stabilizes(seq: Sequence[DiagonalProjection], k: int) -> bool:
     """Certificate that the window-k membership indicators settle.
 
     For every vertex of length <= k, both the support and the cosupport
-    indicator sequences must be constant on the last half of the list.
+    indicator sequences must be constant on the last half of the list:
+    the depth-k vertex sets of the tail are all equal.
     """
-    if not seq:
-        return True
-    trees = [
-        (
-            _support_vertices(q.support, k),
-            _support_vertices(complement(q).support, k),
-        )
-        for q in seq
+    tail = [
+        (_support_vertices(q.support, k), _support_vertices(complement(q).support, k))
+        for q in seq[len(seq) // 2 :]
     ]
-    tail = trees[len(trees) // 2 :]
-    first_sup, first_cosup = tail[0]
-    vertices: list[str] = [""]
-    layer = [""]
-    for _ in range(k):
-        layer = [v + ch for v in layer for ch in ("1", "2")]
-        vertices.extend(layer)
-    for v in vertices:
-        for sup, cosup in tail[1:]:
-            if (v in sup) != (v in first_sup) or (v in cosup) != (v in first_cosup):
-                return False
-    return True
+    return all(t == tail[0] for t in tail[1:])
 
 
 def _validate_pair(pair: PairTruncation) -> None:

@@ -9,6 +9,7 @@ traces print as exact dyadic rationals.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -41,7 +42,10 @@ def _max_depth() -> int:
 
 def _json_object(text: str, *keys: str) -> dict:
     """The JSON object in `text`; it must hold every key in `keys`."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
     if not isinstance(data, dict) or any(k not in data for k in keys):
         raise ValueError(f"expected a JSON object with keys {', '.join(keys)}")
     return data
@@ -268,9 +272,7 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
         raise ValueError(f"depth {args.depth} exceeds FTREES_MAX_DEPTH={_max_depth()}")
     start = parse_projection(args.start, args.json)
     run = omega.orbit_levels(start, args.depth)
-    records = sorted(
-        ((d, str(p)) for p, d in run.depths.items()), key=lambda r: (r[0], r[1])
-    )
+    records = sorted((d, str(p)) for p, d in run.depths.items())
     lines = [
         json.dumps(
             {
@@ -335,7 +337,9 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="ftrees",
         description="Thompson's group F in the Cuntz-algebra word calculus",
@@ -429,8 +433,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     Membership subcommands exit 0 for yes and 1 for no; parse and
     validation failures exit 2 with a one-line diagnostic on stderr.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # every input error of the library is a ValueError, JSON syntax errors too
     try:
         return args.func(args)

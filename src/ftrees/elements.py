@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Optional, Sequence
 
+from ._packed import PackedElement
 from .words import CompleteCode, _merge_walk, check_word, word_to_str
 
 
@@ -95,6 +97,11 @@ class GroupElement:
 
     def is_identity(self) -> bool:
         return self.terms == (Term("", ""),)
+
+    @cached_property
+    def _interval_map(self) -> Optional[PackedElement]:
+        """The interval map of `omega.act`, compiled once; None outside F."""
+        return PackedElement(self.terms) if is_order_preserving(self) else None
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return multiply(self, other)

@@ -11,15 +11,17 @@ k = 2 (mod 3).  `realize` proves the converse constructively: one binary
 tree whose leaf-depth parities give the atoms of p even degree and those
 of 1 - p odd degree exists exactly when k = 2 (mod 3), and its leaves
 paired with those atoms form an explicit witness f with f . 1 = p.
-`act`, `complement` and the orbit walk run on the merged dyadic
-intervals of the support (`_packed`), at a cost set by the interval and
-term counts rather than by 2^level.
+A projection is stored as the merged dyadic intervals of its support
+(`_packed`), which the action, the lattice operations, the trace and the
+orbit walk use directly; its words are made only for `support` or `str`.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from . import _packed
@@ -30,11 +32,10 @@ from .elements import (
     Term,
     is_order_preserving,
     multiply,  # noqa: F401 -- bench/test_bench.py checks its tracer rebinds omega.multiply
-    parity_split,
     validate_unitary,
 )
 from .generators import standard_generators
-from .words import check_word, kraft_sum
+from .words import check_word
 
 __all__ = [
     "DiagonalProjection",
@@ -71,37 +72,46 @@ class DiagonalProjection:
     """Finite antichain of words: the projection sum of their cylinders.
 
     Empty support is the zero projection; support ("",) is the identity.
-    The stored form is canonical (siblings collapsed, lex sorted), so
-    equality and hashing are structural.
+    The stored form is the canonical (n, ends) of `_packed`, so equality
+    and hashing are structural.  `support`, the canonical word list, is
+    made on first use and kept; `str` does not keep its words, so a
+    printed orbit holds only its intervals.
     """
 
-    support: tuple[str, ...]
+    n: int
+    ends: tuple[int, ...]
 
     def __init__(self, support: Iterable[str]) -> None:
-        ws = sorted(check_word(w) for w in support)
-        object.__setattr__(self, "support", _packed.unpack(*_packed.pack(ws)))
+        n, ends = _packed.pack(sorted(check_word(w) for w in support))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ends", ends)
+
+    @cached_property
+    def support(self) -> tuple[str, ...]:
+        return _packed.unpack(self.n, self.ends)
 
     def is_zero(self) -> bool:
-        return not self.support
+        return not self.ends
 
     def is_one(self) -> bool:
-        return self.support == ("",)
+        return (self.n, self.ends) == (0, (0, 1))
 
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
         if self.is_one():
             return "1"
-        return "+".join(f"P[{w}]" for w in self.support)
+        return "+".join(f"P[{w}]" for w in _packed.unpack(self.n, self.ends))
 
     def __repr__(self) -> str:
         return f"DiagonalProjection({self})"
 
 
-def _raw_projection(canonical: tuple[str, ...]) -> DiagonalProjection:
-    # trusted constructor for supports already in canonical form
+def _wrap(packed: tuple[int, tuple[int, ...]]) -> DiagonalProjection:
+    # trusted constructor for an (n, ends) already in canonical form
     p = object.__new__(DiagonalProjection)
-    object.__setattr__(p, "support", canonical)
+    object.__setattr__(p, "n", packed[0])
+    object.__setattr__(p, "ends", packed[1])
     return p
 
 
@@ -110,53 +120,28 @@ ONE = DiagonalProjection(("",))
 
 
 def trace(p: DiagonalProjection) -> Dyadic:
-    """Sum of 2^-|w| over the support; tau(P_w) = 2^-|w| exactly."""
-    return kraft_sum(p.support)
-
-
-def _via_intervals(p: DiagonalProjection, op) -> DiagonalProjection:
-    # p as intervals, through one step of the interval engine, and back
-    return _raw_projection(_packed.unpack(*op(*_packed.pack(p.support))))
+    """The total length of the intervals; tau(P_w) = 2^-|w| exactly."""
+    return Dyadic(sum(p.ends[1::2]) - sum(p.ends[::2]), p.n)
 
 
 def complement(p: DiagonalProjection) -> DiagonalProjection:
     """1 - p: the gaps between the intervals of p."""
-    return _via_intervals(p, _packed.complement)
+    return _wrap(_packed.complement(p.n, p.ends))
 
 
 def meet(p: DiagonalProjection, q: DiagonalProjection) -> DiagonalProjection:
-    """Lattice meet p ^ q, the product projection.
-
-    One merge walk over the two lex-sorted supports: of two
-    prefix-related atoms the longer one lies in the meet, and a word
-    sorts before every word that extends it.
-    """
-    a, b = p.support, q.support
-    out: list[str] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        u, v = a[i], b[j]
-        if v.startswith(u):
-            out.append(v)
-            j += 1
-        elif u.startswith(v):
-            out.append(u)
-            i += 1
-        elif u < v:
-            i += 1
-        else:
-            j += 1
-    return DiagonalProjection(out)
+    """Lattice meet p ^ q, the product projection: the intersection."""
+    return _wrap(_packed.combine(operator.and_, p.n, p.ends, q.n, q.ends))
 
 
 def join(p: DiagonalProjection, q: DiagonalProjection) -> DiagonalProjection:
-    """Lattice join p v q."""
-    return complement(meet(complement(p), complement(q)))
+    """Lattice join p v q: the union."""
+    return _wrap(_packed.combine(operator.or_, p.n, p.ends, q.n, q.ends))
 
 
 def d_tau(p: DiagonalProjection, q: DiagonalProjection) -> Dyadic:
-    """tau(|p - q|) = tau(p) + tau(q) - 2 tau(p ^ q)."""
-    return trace(p) + trace(q) - Dyadic(2) * trace(meet(p, q))
+    """tau(|p - q|): the trace of the symmetric difference."""
+    return trace(_wrap(_packed.combine(operator.ne, p.n, p.ends, q.n, q.ends)))
 
 
 def act(f: GroupElement, p: DiagonalProjection) -> DiagonalProjection:
@@ -164,11 +149,12 @@ def act(f: GroupElement, p: DiagonalProjection) -> DiagonalProjection:
 
     Each term S_alpha S_beta* maps I(beta) affinely onto I(alpha):
     even-degree terms carry the part of p there, odd-degree terms the
-    part of 1 - p.
+    part of 1 - p.  f is compiled to its interval map once.
     """
-    if not is_order_preserving(f):
+    g = f._interval_map
+    if g is None:
         raise NotInF("the action is defined for order-preserving elements")
-    return _via_intervals(p, _packed.PackedElement(f.terms).act)
+    return _wrap(g.act(p.n, p.ends))
 
 
 def h2_member(f: GroupElement) -> bool:
@@ -186,8 +172,7 @@ def coset_invariant(f: GroupElement) -> DiagonalProjection:
     """The projection f_0 f_0* determining the coset of f; equals f . 1."""
     if not is_order_preserving(f):
         raise NotInF("cosets of H_2 are defined in F")
-    even, _ = parity_split(f)
-    return DiagonalProjection(t.alpha for t in even)
+    return act(f, ONE)
 
 
 def omega2_member(p: DiagonalProjection) -> Optional[tuple[int, int]]:
@@ -317,8 +302,8 @@ def orbit_levels(start: DiagonalProjection, depth: int) -> OrbitRun:
     """BFS under x0^+-1, x1^+-1 with discovery depths and timing."""
     if omega2_member(start) is None:
         raise NotInOmega2(f"orbit start {start} is not in Omega_2")
-    gens = [_packed.PackedElement(g.terms) for _, g in standard_generators()]
-    frontier = [_packed.pack(start.support)]
+    gens = [g._interval_map for _, g in standard_generators()]
+    frontier = [(start.n, start.ends)]
     seen = {frontier[0]: 0}
     actions = 0
     t0 = time.perf_counter()
@@ -334,9 +319,7 @@ def orbit_levels(start: DiagonalProjection, depth: int) -> OrbitRun:
                 nxt.append(q)
         frontier = nxt
     elapsed = time.perf_counter() - t0
-    depths = {
-        _raw_projection(_packed.unpack(n, ends)): dd for (n, ends), dd in seen.items()
-    }
+    depths = {_wrap(q): dd for q, dd in seen.items()}
     return OrbitRun(depths, actions, elapsed)
 
 

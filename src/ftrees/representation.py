@@ -79,9 +79,8 @@ def separating_point(
     first success in (radius, discovery) order is returned, so the result
     is deterministic.
     """
-    for f in fs:
-        if not is_order_preserving(f):
-            raise NotInF("separating points are defined for families in F")
+    if any(f._interval_map is None for f in fs):  # compiles each f once, for `act`
+        raise NotInF("separating points are defined for families in F")
     tried: set[DiagonalProjection] = set()
     for g in _ball_walk(max_radius):
         p = act(g, ONE)

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own computation paths:
 elements are modelled as piecewise-linear maps over exact fractions,
 generator actions are hardcoded from their closed forms, the action on
 projections is string transport of support words, refinement and
-multiplication are prefix scans and a dictionary match, and
+multiplication are prefix scans and a dictionary match, traces and set
+operations are exact fractions on the covered region of [0, 1), and
 realizability is decided by exhausting fill counts.
 """
 
@@ -69,6 +70,49 @@ def witnesses_orbit_point(f: GroupElement, p: DiagonalProjection) -> bool:
     return _merged(map(interval_of_word, even)) == _merged(
         map(interval_of_word, p.support)
     )
+
+
+def region(p: DiagonalProjection) -> list[tuple[Fraction, Fraction]]:
+    """The subset of [0, 1) that p projects onto, as merged exact intervals."""
+    return _merged(map(interval_of_word, p.support))
+
+
+def combine(op, *regions) -> list[tuple[Fraction, Fraction]]:
+    """The region where `op` of the regions' memberships holds.
+
+    Every membership is constant between consecutive endpoints, so each
+    piece is decided at its midpoint.
+    """
+    cuts = sorted({Fraction(0), Fraction(1)} | {x for r in regions for iv in r for x in iv})
+
+    def inside(r, x):
+        i = bisect_right(r, (x, Fraction(2))) - 1
+        return i >= 0 and x < r[i][1]
+
+    return _merged(
+        (a, b) for a, b in zip(cuts, cuts[1:]) if op(*(inside(r, (a + b) / 2) for r in regions))
+    )
+
+
+def measure(r: list[tuple[Fraction, Fraction]]) -> Fraction:
+    """Total length of a region."""
+    return sum((hi - lo for lo, hi in r), Fraction(0))
+
+
+def windows_settle(seq, k: int) -> bool:
+    """Whether, for every vertex v of length <= k, "I(v) meets q" and "I(v)
+    meets 1 - q" read the same for every q in the last half of `seq`."""
+
+    def meets(r, v):
+        lo, hi = interval_of_word(v)
+        return any(a < hi and lo < b for a, b in r)
+
+    vertices = [v for d in range(k + 1) for v in _all_words(d)]
+    signatures = {
+        tuple((meets(region(q), v), meets(combine(lambda x: not x, region(q)), v)) for v in vertices)
+        for q in seq[len(seq) // 2 :]
+    }
+    return len(signatures) <= 1
 
 
 def complement_by_paths(p: DiagonalProjection) -> DiagonalProjection:

@@ -20,7 +20,7 @@ from ftrees.elements import GroupElement, height
 from ftrees.generators import gen_x, generator_ball, standard_generators
 from ftrees.omega import ONE, ZERO, DiagonalProjection, act, omega2_member, orbit, trace
 
-from oracles import brute_force_realizable, enumerate_trees
+from oracles import brute_force_realizable, enumerate_trees, windows_settle
 
 
 def test_tree_truncation_invariants():
@@ -104,6 +104,21 @@ def test_stabilizes():
     deep = [DiagonalProjection(["1", "2" + "1" * n]) for n in range(2, 10)]
     assert stabilizes(deep, 2)
     assert stabilizes([], 3)
+
+
+def test_stabilizes_matches_window_oracle():
+    rng = random.Random(41)
+    pool = sorted(orbit(ONE, 3), key=lambda p: p.support) + [ZERO]
+    outcomes = set()
+    for _ in range(300):
+        k = rng.randint(0, 3)
+        base = rng.choice(pool)
+        seq = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+        seq += [rng.choice(pool) if rng.random() < 0.15 else base for _ in range(rng.randint(0, 6))]
+        want = windows_settle(seq, k)
+        assert stabilizes(seq, k) == want, (seq, k)
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_is_realizable_examples():

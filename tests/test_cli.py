@@ -3,6 +3,7 @@ import io
 import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -247,3 +248,36 @@ def test_any_json_value_exits_0_1_or_2(value):
     ):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2), argv
+
+
+def test_deeply_nested_json_exits_2(capsys):
+    deep = "[" * 20000 + "]" * 20000
+    for argv in (
+        ["--json", "act", deep, '{"support": ["1"]}'],
+        ["--json", "act", X0_JSON, deep],
+        ["realizable", deep],
+        ["witness", deep],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv[:2]
+        assert err.startswith("error:") and err.count("\n") == 1, argv[:2]
+
+
+def test_repeated_in_process_runs_share_no_state(capsys, tmp_path):
+    x0 = "11:1 + 12:21 + 2:22"
+    assert run_cli(capsys, "--json", "act", X0_JSON, '{"support": ["e"]}')[:2] == (
+        0,
+        '{"support": ["12"]}\n',
+    )
+    assert run_cli(capsys, "act", x0, "1")[:2] == (0, "P[12]\n")
+    assert run_cli(capsys, "mul", "11:1", "e:e")[0] == 2
+    assert run_cli(capsys, "act", x0, "1")[:2] == (0, "P[12]\n")
+    with pytest.raises(SystemExit):
+        main(["act", x0])
+    capsys.readouterr()
+    assert run_cli(capsys, "act", x0, "1")[:2] == (0, "P[12]\n")
+    out_file = tmp_path / "orbit.jsonl"
+    code, out, _ = run_cli(capsys, "orbit", "1", "--depth", "3", "--out", str(out_file))
+    assert (code, out) == (0, "42 projections\n")
+    code, out, _ = run_cli(capsys, "orbit", "1", "--depth", "3")
+    assert code == 0 and out == out_file.read_text()

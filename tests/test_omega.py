@@ -1,5 +1,7 @@
+import operator
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -30,7 +32,11 @@ from oracles import (
     act_by_transport,
     atoms_at_level,
     closed_form_action,
+    combine,
     complement_by_paths,
+    interval_of_word,
+    measure,
+    region,
     witnesses_orbit_point,
 )
 
@@ -105,6 +111,53 @@ def test_canonical_support():
         DiagonalProjection(["1", "12"])
     with pytest.raises(ValueError):
         DiagonalProjection(["1", "1"])
+
+
+def test_projection_is_a_canonical_immutable_value():
+    rng = random.Random(22)
+    for _ in range(200):
+        words = random_antichain(rng, rng.randint(0, 10))
+        p = DiagonalProjection(words)
+        # the same projection from a shuffled list with sibling pairs
+        split = [v for w in words for v in ([w + "1", w + "2"] if rng.random() < 0.5 else [w])]
+        rng.shuffle(split)
+        q = DiagonalProjection(split)
+        assert q == p and hash(q) == hash(p)
+        assert region(q) == combine(bool, sorted(map(interval_of_word, split)))
+        s = q.support
+        assert isinstance(s, tuple) and list(s) == sorted(s)
+        assert all(not b.startswith(a) for a, b in zip(s, s[1:]))
+        assert not any(w.endswith("1") and w[:-1] + "2" in s for w in s)
+    p = DiagonalProjection(["12"])
+    for attr in ("support", "n", "ends", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, attr, ())
+    assert p.support == ("12",) and p == DiagonalProjection(["12"])
+
+
+def as_fraction(d: Dyadic) -> Fraction:
+    return Fraction(d.numerator, 2**d.exponent)
+
+
+def test_lattice_matches_measure_oracle():
+    rng = random.Random(23)
+    ps = [ZERO, ONE] + [
+        DiagonalProjection(random_antichain(rng, rng.randint(1, 12))) for _ in range(80)
+    ]
+    for p in ps:
+        assert as_fraction(trace(p)) == measure(region(p))
+        c = complement(p)
+        assert region(c) == combine(operator.not_, region(p))
+        assert c == DiagonalProjection(c.support)
+    pairs = [(p, q) for p in ps[:4] for q in ps[:4]]
+    pairs += [(rng.choice(ps), rng.choice(ps)) for _ in range(300)]
+    for p, q in pairs:
+        rp, rq = region(p), region(q)
+        m, j = meet(p, q), join(p, q)
+        assert region(m) == combine(operator.and_, rp, rq)
+        assert region(j) == combine(operator.or_, rp, rq)
+        assert m == DiagonalProjection(m.support) and j == DiagonalProjection(j.support)
+        assert as_fraction(d_tau(p, q)) == measure(combine(operator.xor, rp, rq))
 
 
 def test_trace_examples():
@@ -194,7 +247,8 @@ def test_coset_invariant():
     assert coset_invariant(H).is_one()
     ball = generator_ball(3)
     for f in ball:
-        assert coset_invariant(f) == act(f, ONE)
+        even, _ = parity_split(f)
+        assert coset_invariant(f) == act(f, ONE) == DiagonalProjection(t.alpha for t in even)
 
 
 def test_stabilizer_is_h2():

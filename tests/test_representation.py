@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ftrees import _packed, representation
 from ftrees.elements import GroupElement, inverse, multiply
 from ftrees.generators import _ball_walk, gen_x, generator_ball
 from ftrees.omega import ONE, DiagonalProjection, act
@@ -132,3 +133,29 @@ def test_certificate_json():
     # tampered certificates fail verification
     bad = IndependenceCertificate(cert.elements, cert.point, tuple(reversed(cert.images)))
     assert not bad.verify()
+
+
+def test_certificate_compiles_each_element_once(monkeypatch):
+    built = []
+    compile_terms = _packed.PackedElement.__init__
+
+    def counting_init(self, terms):
+        built.append(terms)
+        compile_terms(self, terms)
+
+    walked = []
+
+    def counting_walk(radius):
+        for g in _ball_walk(radius):
+            walked.append(g)
+            yield g
+
+    monkeypatch.setattr(_packed.PackedElement, "__init__", counting_init)
+    monkeypatch.setattr(representation, "_ball_walk", counting_walk)
+    rng = random.Random(31)
+    # fresh elements, so nothing was compiled before
+    fs = [GroupElement(f.terms) for f in rng.sample(generator_ball(4), 40)]
+    cert = independence_certificate(fs)
+    assert cert.verify()
+    assert len(walked) > 1
+    assert len(built) <= len(fs) + len(walked)
