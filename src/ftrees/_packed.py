@@ -6,6 +6,7 @@ stored as (n, ends): the flat sorted endpoints a0, b0, a1, b1, ... of
 its merged intervals [a, b) in units of 2^-n.  n is minimal (not every
 endpoint is even), so the form is canonical and hashable.  Words are
 made only at the edges: `pack` reads a support, `unpack` writes one.
+`round_out` coarsens a projection to the cells of a scale it meets.
 
 A term S_alpha S_beta* maps I(beta) affinely onto I(alpha), so an
 element acts by sending p on I(beta) to I(alpha) for even-degree terms
@@ -81,6 +82,21 @@ def complement(n: int, ends: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         gaps = gaps[:-2]
     # an odd endpoint is neither 0 nor 2^n, so the gaps stay canonical
     return (n, gaps) if gaps else (0, ())
+
+
+def round_out(n: int, ends: tuple[int, ...], k: int) -> tuple[int, tuple[int, ...]]:
+    """The union of the 2^-k cells that meet the intervals: each start
+    floored and each end ceiled to scale k, overlaps merged."""
+    if n <= k:
+        return n, ends
+    out: list[int] = []
+    for a, b in zip(ends[::2], ends[1::2]):
+        a, b = a >> n - k, -(-b >> n - k)
+        if out and a <= out[-1]:
+            out[-1] = b
+        else:
+            out += (a, b)
+    return _canonical(k, out)
 
 
 def combine(

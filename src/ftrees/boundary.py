@@ -1,19 +1,30 @@
 """Finite-level model of the tree-pair compactification of Omega_2.
 
-A projection q embeds into pairs of rooted leafless trees as
-(q, 1-q): the vertices met by the support and by the cosupport.  All
-boundary computations here are statements about depth-k truncations of
-such pairs; acting by f costs height(f) levels of resolution and needs
-the window to reach f's domain tree (see `window_requirement`).
+A projection q embeds into pairs of rooted leafless trees as (q, 1-q):
+the vertices whose cylinders meet the support and the cosupport.  A
+depth-k window on such a tree is fixed by its depth-k vertices, the
+2^-k cells that meet the region: the region rounded out to scale 2^-k
+(`_packed.round_out`).  A window is stored as its depth and the union
+of those cells, and each operation is a few interval operations of
+`omega`, whose cost grows with the intervals, not with 2^k.  For the
+window (L, R) of (q, 1-q), 1 - R <= q <= L and the shared frontier is
+L ^ R.  Acting by f costs height(f) levels of resolution and needs the
+window to reach f's domain tree (see `window_requirement`).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .elements import GroupElement, NotInF, height, is_order_preserving, parity_split
-from .omega import DiagonalProjection, complement, omega2_member
+from . import _packed
+from .elements import GroupElement, NotInF, height, is_order_preserving
+from .omega import (
+    ONE, ZERO, DiagonalProjection, InternalSearchExhausted, _wrap, act, complement, join, meet,
+    omega2_member, trace,
+)
 from .words import check_word, word_to_str
 
 
@@ -37,31 +48,30 @@ class RigidPair(ValueError):
     """The cylinder of this pair contains a single point of Omega_2."""
 
 
-def _support_vertices(support: Sequence[str], k: int) -> frozenset[str]:
-    """Vertices of length <= k whose cylinder meets the support region."""
-    out: set[str] = set()
-    for w in support:
-        for i in range(min(len(w), k) + 1):
-            out.add(w[:i])
-        if len(w) < k:
-            layer = [w]
-            for _ in range(k - len(w)):
-                layer = [v + ch for v in layer for ch in ("1", "2")]
-                out.update(layer)
-    return frozenset(out)
+def _cells(p: DiagonalProjection, j: int) -> list[int]:
+    """The indices of the 2^-j cells that meet p, left to right."""
+    n, ends = _packed.round_out(p.n, p.ends, j)
+    return [c for a, b in zip(ends[::2], ends[1::2]) for c in range(a << j - n, b << j - n)]
 
 
 @dataclass(frozen=True)
 class TreeTruncation:
-    """Depth-k window on a rooted subtree without leaves (or the empty tree)."""
+    """Depth-k window on a rooted subtree without leaves (or the empty tree).
+
+    Stored as the depth and `cells`, the union of the cylinders of the
+    depth-k vertices; the vertices of depth j are the 2^-j cells that
+    meet `cells`, and they are listed only on demand.
+    """
 
     depth: int
-    vertices: frozenset[str]
+    cells: DiagonalProjection
 
     def __init__(self, depth: int, vertices: Iterable[str]) -> None:
         vs = frozenset(check_word(v) for v in vertices)
         if depth < 0:
             raise MalformedPair("depth must be >= 0")
+        # the set is the prefix closure of its depth-k vertices; checked
+        # locally, in time linear in the input
         for v in vs:
             if len(v) > depth:
                 raise MalformedPair(f"vertex {v!r} deeper than {depth}")
@@ -70,37 +80,54 @@ class TreeTruncation:
             if len(v) < depth and v + "1" not in vs and v + "2" not in vs:
                 raise MalformedPair(f"vertex {v!r} is a leaf above the cut depth")
         object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "vertices", vs)
-
-    @classmethod
-    def full(cls, depth: int) -> "TreeTruncation":
-        return cls(depth, _support_vertices([""], depth))
-
-    @classmethod
-    def empty(cls, depth: int) -> "TreeTruncation":
-        return cls(depth, ())
+        frontier = sorted(v for v in vs if len(v) == depth)
+        object.__setattr__(self, "cells", _wrap(_packed.pack(frontier)))
 
     @classmethod
     def of_projection(cls, p: DiagonalProjection, depth: int) -> "TreeTruncation":
-        return cls(depth, _support_vertices(p.support, depth))
+        """The window whose vertices are the cells of depth <= `depth` meeting p."""
+        if depth < 0:
+            raise MalformedPair("depth must be >= 0")
+        t = object.__new__(cls)
+        object.__setattr__(t, "depth", depth)
+        object.__setattr__(t, "cells", _wrap(_packed.round_out(p.n, p.ends, depth)))
+        return t
+
+    @classmethod
+    def full(cls, depth: int) -> "TreeTruncation":
+        return cls.of_projection(ONE, depth)
+
+    @classmethod
+    def empty(cls, depth: int) -> "TreeTruncation":
+        return cls.of_projection(ZERO, depth)
 
     def is_empty(self) -> bool:
-        return not self.vertices
+        return self.cells.is_zero()
 
     def is_full(self) -> bool:
-        return len(self.vertices) == (1 << (self.depth + 1)) - 1
+        return self.cells.is_one()
 
     def frontier(self) -> frozenset[str]:
         """The depth-k vertices."""
         return frozenset(v for v in self.vertices if len(v) == self.depth)
 
+    @cached_property
+    def vertices(self) -> frozenset[str]:
+        return frozenset(self.sorted_vertices())
+
     def truncate(self, depth: int) -> "TreeTruncation":
         if depth > self.depth:
             raise MalformedPair(f"cannot deepen a depth-{self.depth} window to {depth}")
-        return TreeTruncation(depth, (v for v in self.vertices if len(v) <= depth))
+        return TreeTruncation.of_projection(self.cells, depth)
 
     def sorted_vertices(self) -> list[str]:
-        return sorted(self.vertices, key=lambda v: (len(v), v))
+        """The vertices in (length, lex) order: the frontier cells, left to
+        right, below the parents of each level."""
+        k = self.depth
+        levels = [[bin(c | 1 << k)[3:].translate(_packed._TO_WORD) for c in _cells(self.cells, k)]]
+        while levels[-1] and levels[-1][0]:  # up to the root, if any
+            levels.append(list(dict.fromkeys(v[:-1] for v in levels[-1])))
+        return [v for level in reversed(levels) for v in level]
 
     def __str__(self) -> str:
         return "{" + ", ".join(word_to_str(v) for v in self.sorted_vertices()) + "}"
@@ -108,16 +135,17 @@ class TreeTruncation:
 
 @dataclass(frozen=True)
 class PairTruncation:
-    """A depth-k window on a point of the compactification."""
+    """A depth-k window on a point of the compactification: its trees
+    have one depth and together meet every vertex."""
 
     left: TreeTruncation
     right: TreeTruncation
 
     def __post_init__(self) -> None:
         if self.left.depth != self.right.depth:
-            raise MalformedPair(
-                f"depth mismatch: {self.left.depth} vs {self.right.depth}"
-            )
+            raise MalformedPair(f"depth mismatch: {self.left.depth} vs {self.right.depth}")
+        if not self.covers():
+            raise MalformedPair("support and cosupport windows must cover every vertex")
 
     @property
     def depth(self) -> int:
@@ -125,9 +153,7 @@ class PairTruncation:
 
     def covers(self) -> bool:
         """Support and cosupport together meet every vertex."""
-        return len(self.left.vertices | self.right.vertices) == (
-            1 << (self.depth + 1)
-        ) - 1
+        return join(self.left.cells, self.right.cells).is_one()
 
     def truncate(self, depth: int) -> "PairTruncation":
         return PairTruncation(self.left.truncate(depth), self.right.truncate(depth))
@@ -136,39 +162,25 @@ class PairTruncation:
         return f"({self.left}, {self.right})@{self.depth}"
 
 
+def _window(k: int, left: DiagonalProjection, right: DiagonalProjection) -> PairTruncation:
+    """The depth-k window whose trees meet the regions `left` and `right`."""
+    return PairTruncation(
+        TreeTruncation.of_projection(left, k), TreeTruncation.of_projection(right, k)
+    )
+
+
 def embed(q: DiagonalProjection, k: int) -> PairTruncation:
     """The depth-k window of (q, 1-q)."""
     if q.is_zero():
         raise ZeroProjection("0 does not embed (the left tree must be nonempty)")
-    return PairTruncation(
-        TreeTruncation.of_projection(q, k),
-        TreeTruncation.of_projection(complement(q), k),
-    )
-
-
-def _transport_tree(
-    vertices: frozenset[str], beta: str, alpha: str, out_depth: int, out: set[str]
-) -> None:
-    """Vertices met by the image of the (tree-encoded) region under beta,
-    re-rooted at alpha, clipped to out_depth."""
-    if beta not in vertices:
-        return
-    for i in range(min(len(alpha), out_depth) + 1):
-        out.add(alpha[:i])
-    for v in vertices:
-        if v.startswith(beta) and v != beta:
-            w = alpha + v[len(beta):]
-            if len(w) <= out_depth:
-                out.add(w)
+    return _window(k, q, complement(q))
 
 
 def window_requirement(f: GroupElement) -> int:
     """Smallest window depth on which f acts exactly.
 
-    Every probe the action makes is at a domain word beta (for vertices
-    above a range word) or at beta extended by the output offset (for
-    vertices below one); the deepest probe is max(|beta|, out + height),
-    so the window must reach the domain tree and one height margin.
+    The window must reach f's domain tree, so that each depth-k cell lies
+    in one domain interval, and one level beyond height(f).
     """
     h = height(f)
     if h == 0:
@@ -179,32 +191,25 @@ def window_requirement(f: GroupElement) -> int:
 def act_truncated(f: GroupElement, pair: PairTruncation) -> PairTruncation:
     """Exact depth-(k - height(f)) window of f . (omega, eta).
 
-    Requires k >= window_requirement(f).  Below that the output window is
-    genuinely not a function of the input window: projections exist with
+    Requires k >= window_requirement(f); below it, projections exist with
     equal windows whose images differ already at depth k - height(f).
+    Every q with this window has 1 - R <= q <= L.  Even-degree terms
+    carry q and odd ones 1 - q, so f . q lies between the meet and the
+    join of f . L and f . (1 - R).  A depth-k cell maps into one
+    depth-(k - height) cell, so the join rounded out is the left window
+    and the complement of the meet the right one.
     """
     if not is_order_preserving(f):
         raise NotInF("the boundary action is defined for order-preserving elements")
-    h = height(f)
     k = pair.depth
     if k < window_requirement(f):
         raise DepthTooShallow(
             f"depth {k} window underdetermines the action of an element "
             f"with domain depth {window_requirement(f)}"
         )
-    out_depth = k - h
-    even, odd = parity_split(f)
-    new_left: set[str] = set()
-    new_right: set[str] = set()
-    for t in even:
-        _transport_tree(pair.left.vertices, t.beta, t.alpha, out_depth, new_left)
-        _transport_tree(pair.right.vertices, t.beta, t.alpha, out_depth, new_right)
-    for t in odd:
-        _transport_tree(pair.right.vertices, t.beta, t.alpha, out_depth, new_left)
-        _transport_tree(pair.left.vertices, t.beta, t.alpha, out_depth, new_right)
-    return PairTruncation(
-        TreeTruncation(out_depth, new_left), TreeTruncation(out_depth, new_right)
-    )
+    outer = act(f, pair.left.cells)
+    inner = act(f, complement(pair.right.cells))
+    return _window(k - height(f), join(outer, inner), complement(meet(outer, inner)))
 
 
 def stabilizes(seq: Sequence[DiagonalProjection], k: int) -> bool:
@@ -212,20 +217,10 @@ def stabilizes(seq: Sequence[DiagonalProjection], k: int) -> bool:
 
     For every vertex of length <= k, both the support and the cosupport
     indicator sequences must be constant on the last half of the list:
-    the depth-k vertex sets of the tail are all equal.
+    the depth-k windows of (q, 1-q) over the tail are all equal.
     """
-    tail = [
-        (_support_vertices(q.support, k), _support_vertices(complement(q).support, k))
-        for q in seq[len(seq) // 2 :]
-    ]
+    tail = [_window(k, q, complement(q)) for q in seq[len(seq) // 2 :]]
     return all(t == tail[0] for t in tail[1:])
-
-
-def _validate_pair(pair: PairTruncation) -> None:
-    if pair.left.is_empty():
-        raise MalformedPair("the support tree of a nonzero projection is nonempty")
-    if not pair.covers():
-        raise MalformedPair("support and cosupport windows must cover every vertex")
 
 
 def is_realizable(pair: PairTruncation) -> bool:
@@ -233,67 +228,47 @@ def is_realizable(pair: PairTruncation) -> bool:
 
     With a shared frontier vertex the trace is freely adjustable below
     the window (admissible traces are dense), so the pair is realizable.
-    Otherwise the window forces q exactly, and the forced projection must
-    pass the trace test.
+    Otherwise the window forces q = L exactly, and L must pass the trace
+    test.
     """
-    _validate_pair(pair)
-    shared = pair.left.frontier() & pair.right.frontier()
-    if shared:
+    if pair.left.is_empty():
+        raise MalformedPair("the support tree of a nonzero projection is nonempty")
+    if not meet(pair.left.cells, pair.right.cells).is_zero():
         return True
-    forced = DiagonalProjection(pair.left.frontier())
-    return omega2_member(forced) is not None
+    return omega2_member(pair.left.cells) is not None
 
 
-def _fill_cell(cell: str, t: int, count: int) -> list[str]:
-    """The lex-first `count` of the 2^t level-(|cell|+t) atoms below `cell`."""
-    suffixes = [""]
-    for _ in range(t):
-        suffixes = [s + ch for s in suffixes for ch in ("1", "2")]
-    return [cell + s for s in sorted(suffixes)[:count]]
+def _fill(
+    inner: DiagonalProjection, cells: list[int], k: int, t: int, total: int
+) -> DiagonalProjection:
+    """`inner` plus `total` atoms of scale 2^-(k+t) at the left ends of the
+    depth-k `cells`: one in each, and the rest (at most 5, so fewer than
+    2^t in all) in the first."""
+    ends = [e for c in cells for e in (c << t, (c << t) + 1)]
+    ends[1] += total - len(cells)
+    return _wrap(_packed.combine(operator.or_, inner.n, inner.ends, k + t, tuple(ends)))
 
 
-def non_isolation_witness(
-    pair: PairTruncation,
-) -> tuple[DiagonalProjection, DiagonalProjection]:
+def non_isolation_witness(pair: PairTruncation) -> tuple[DiagonalProjection, DiagonalProjection]:
     """Two distinct points of Omega_2 with the same depth-k window.
 
     Requires a shared frontier vertex; the cylinders below shared
     vertices are partially filled with two different admissible total
-    traces, so the witnesses differ strictly below the window.
+    traces, so the witnesses differ strictly below the window.  Both are
+    checked before they are returned.
     """
-    if not is_realizable(pair):
-        raise NotRealizable(f"{pair} has no Omega_2 point in its cylinder")
-    shared = sorted(pair.left.frontier() & pair.right.frontier())
-    if not shared:
-        raise RigidPair(f"{pair} pins down a single point of Omega_2")
     k = pair.depth
+    if not is_realizable(pair):
+        raise NotRealizable(f"the depth-{k} window has no Omega_2 point in its cylinder")
+    shared = meet(pair.left.cells, pair.right.cells)
+    if shared.is_zero():
+        raise RigidPair(f"the depth-{k} window pins down a single point of Omega_2")
     t = 3 if k % 2 == 0 else 4  # k + t odd: a uniform admissible level
-    cell_atoms = 1 << t
-    full = sorted(pair.left.frontier() - pair.right.frontier())
-    s = len(shared)
-    base = len(full) * cell_atoms
-    sums = [
-        total
-        for total in range(s, (cell_atoms - 1) * s + 1)
-        if (base + total) % 3 == 2
-    ]
-    if len(sums) < 2:
-        raise AssertionError("admissible fill range unexpectedly small")
-
-    def build(total: int) -> DiagonalProjection:
-        fills = []
-        remaining = total
-        for i, cell in enumerate(shared):
-            cells_left = s - i - 1
-            take = max(1, min(cell_atoms - 1, remaining - cells_left))
-            fills.extend(_fill_cell(cell, t, take))
-            remaining -= take
-        assert remaining == 0
-        return DiagonalProjection(full + fills)
-
-    q1, q2 = build(sums[0]), build(sums[1])
-    for q in (q1, q2):
-        assert omega2_member(q) is not None
-        assert embed(q, k) == pair
-    assert q1 != q2
+    cells = _cells(shared, k)
+    inner = complement(pair.right.cells)  # the cells in the left tree only
+    # the least total fill >= one atom a cell with an admissible trace, then the next
+    total = len(cells) + (2 - trace(inner).scaled(k + t) - len(cells)) % 3
+    q1, q2 = (_fill(inner, cells, k, t, x) for x in (total, total + 3))
+    if q1 == q2 or any(omega2_member(q) is None or embed(q, k) != pair for q in (q1, q2)):
+        raise InternalSearchExhausted(f"non-isolation witnesses {q1}, {q2} fail their check")
     return q1, q2

@@ -118,6 +118,8 @@ def parse_pair(text: str) -> boundary.PairTruncation:
     depth = data["depth"]
     if not isinstance(depth, int) or isinstance(depth, bool):
         raise ValueError("depth must be a JSON integer")
+    if depth > _max_depth():
+        raise ValueError(f"depth {depth} exceeds FTREES_MAX_DEPTH={_max_depth()}")
     left = boundary.TreeTruncation(depth, _json_words(data["left"], "left"))
     right = boundary.TreeTruncation(depth, _json_words(data["right"], "right"))
     return boundary.PairTruncation(left, right)
@@ -299,27 +301,18 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
 
 def _cmd_boundary_act(args: argparse.Namespace) -> int:
     f = parse_element(args.element, args.json)
-    pair = _check_pair_depth(parse_pair(args.pair))
-    print(format_pair(boundary.act_truncated(f, pair)))
+    print(format_pair(boundary.act_truncated(f, parse_pair(args.pair))))
     return 0
 
 
-def _check_pair_depth(pair: boundary.PairTruncation) -> boundary.PairTruncation:
-    if pair.depth > _max_depth():
-        raise ValueError(f"depth {pair.depth} exceeds FTREES_MAX_DEPTH={_max_depth()}")
-    return pair
-
-
 def _cmd_realizable(args: argparse.Namespace) -> int:
-    pair = _check_pair_depth(parse_pair(args.pair))
-    yes = boundary.is_realizable(pair)
+    yes = boundary.is_realizable(parse_pair(args.pair))
     print("yes" if yes else "no")
     return 0 if yes else 1
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    pair = _check_pair_depth(parse_pair(args.pair))
-    q1, q2 = boundary.non_isolation_witness(pair)
+    q1, q2 = boundary.non_isolation_witness(parse_pair(args.pair))
     print(json.dumps({"q": str(q1), "q'": str(q2)}, sort_keys=True))
     return 0
 

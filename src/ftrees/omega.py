@@ -64,7 +64,7 @@ class NotInOmega2(ValueError):
 
 
 class InternalSearchExhausted(RuntimeError):
-    """realize() could not certify a constructed element (should not occur)."""
+    """A constructed witness failed its certificate (should not occur)."""
 
 
 @dataclass(frozen=True)

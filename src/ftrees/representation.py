@@ -69,6 +69,23 @@ def apply(f: GroupElement, v: FormalVector) -> FormalVector:
     return FormalVector(out)
 
 
+def _separation(
+    fs: Sequence[GroupElement], max_radius: int
+) -> tuple[DiagonalProjection, tuple[DiagonalProjection, ...]]:
+    """The separating point of `separating_point` and its images."""
+    if any(f._interval_map is None for f in fs):  # compiles each f once, for `act`
+        raise NotInF("separating points are defined for families in F")
+    tried: set[DiagonalProjection] = set()
+    for g in _ball_walk(max_radius):
+        p = act(g, ONE)
+        if p not in tried:
+            tried.add(p)
+            images = tuple(act(f, p) for f in fs)
+            if len(set(images)) == len(images):
+                return p, images
+    raise SearchExhausted(max_radius)
+
+
 def separating_point(
     fs: Sequence[GroupElement], max_radius: int = 8
 ) -> DiagonalProjection:
@@ -79,17 +96,7 @@ def separating_point(
     first success in (radius, discovery) order is returned, so the result
     is deterministic.
     """
-    if any(f._interval_map is None for f in fs):  # compiles each f once, for `act`
-        raise NotInF("separating points are defined for families in F")
-    tried: set[DiagonalProjection] = set()
-    for g in _ball_walk(max_radius):
-        p = act(g, ONE)
-        if p not in tried:
-            tried.add(p)
-            images = [act(f, p) for f in fs]
-            if len(set(images)) == len(images):
-                return p
-    raise SearchExhausted(max_radius)
+    return _separation(fs, max_radius)[0]
 
 
 @dataclass(frozen=True)
@@ -125,6 +132,5 @@ def independence_certificate(
         if f.terms in seen:
             raise ValueError("certificate requires pairwise distinct elements")
         seen.add(f.terms)
-    p = separating_point(fs, max_radius)
-    images = tuple(act(f, p) for f in fs)
+    p, images = _separation(fs, max_radius)  # verify() recomputes the images
     return IndependenceCertificate(tuple(fs), p, images)

@@ -5,12 +5,14 @@ elements are modelled as piecewise-linear maps over exact fractions,
 generator actions are hardcoded from their closed forms, the action on
 projections is string transport of support words, refinement and
 multiplication are prefix scans and a dictionary match, traces and set
-operations are exact fractions on the covered region of [0, 1), and
+operations are exact fractions on the covered region of [0, 1), tree
+windows are dense vertex sets moved by string transport, and
 realizability is decided by exhausting fill counts.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -151,6 +153,104 @@ def act_by_transport(f: GroupElement, p: DiagonalProjection) -> DiagonalProjecti
         odd = (len(t.alpha) - len(t.beta)) % 2
         out += _transport(comp if odd else p.support, t.beta, t.alpha)
     return DiagonalProjection(out)
+
+
+def support_vertices(support, k: int) -> frozenset[str]:
+    """Vertices of length <= k whose cylinder meets the support region."""
+    out: set[str] = set()
+    for w in support:
+        for i in range(min(len(w), k) + 1):
+            out.add(w[:i])
+        if len(w) < k:
+            layer = [w]
+            for _ in range(k - len(w)):
+                layer = [v + ch for v in layer for ch in ("1", "2")]
+                out.update(layer)
+    return frozenset(out)
+
+
+def window_by_vertices(p: DiagonalProjection, k: int) -> tuple[frozenset[str], frozenset[str]]:
+    """The vertex sets of the depth-k window of (p, 1 - p)."""
+    return support_vertices(p.support, k), support_vertices(complement_by_paths(p).support, k)
+
+
+def rounded_region(r: list[tuple[Fraction, Fraction]], k: int) -> list[tuple[Fraction, Fraction]]:
+    """The union of the 2^-k cells that meet a region: the frontier of its
+    depth-k window, by exact floor and ceiling."""
+    scale = 2**k
+    out: list[tuple[Fraction, Fraction]] = []
+    for lo, hi in r:
+        lo, hi = Fraction(math.floor(lo * scale), scale), Fraction(math.ceil(hi * scale), scale)
+        if out and lo <= out[-1][1]:  # rounding can make neighbours overlap
+            out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def is_tree(vertices: frozenset[str], k: int) -> bool:
+    """Whether a vertex set is a depth-k window of a leafless tree: no
+    vertex below k, every parent present, and no leaf above depth k."""
+    return all(
+        len(v) <= k
+        and (not v or v[:-1] in vertices)
+        and (len(v) == k or v + "1" in vertices or v + "2" in vertices)
+        for v in vertices
+    )
+
+
+def admissible(x: Fraction) -> bool:
+    """Whether x = k / 2^(2m+1) with k = 2 (mod 3): a trace in Omega_2."""
+    k, e = x.numerator, x.denominator.bit_length() - 1
+    assert x.denominator == 2**e
+    if e % 2 == 0:
+        k, e = 2 * k, e + 1
+    return k % 3 == 2
+
+
+def pattern_window(pattern: str) -> tuple[int, frozenset[str], frozenset[str]]:
+    """(k, left, right) of the window whose depth-k cells, left to right,
+    are the letters of `pattern`: L in the left tree only, R in the right
+    tree only, B in both, - in neither."""
+    k = len(pattern).bit_length() - 1
+    assert len(pattern) == 1 << k
+    cells = _all_words(k)
+    left = [c for c, s in zip(cells, pattern) if s in "LB"]
+    right = [c for c, s in zip(cells, pattern) if s in "RB"]
+    return k, support_vertices(left, k), support_vertices(right, k)
+
+
+def transport_tree(
+    vertices: frozenset[str], beta: str, alpha: str, out_depth: int, out: set[str]
+) -> None:
+    """Vertices met by the image of the (tree-encoded) region under beta,
+    re-rooted at alpha, clipped to out_depth."""
+    if beta not in vertices:
+        return
+    for i in range(min(len(alpha), out_depth) + 1):
+        out.add(alpha[:i])
+    for v in vertices:
+        if v.startswith(beta) and v != beta:
+            w = alpha + v[len(beta):]
+            if len(w) <= out_depth:
+                out.add(w)
+
+
+def act_on_window(
+    f: GroupElement, left: frozenset[str], right: frozenset[str], k: int
+) -> tuple[frozenset[str], frozenset[str]]:
+    """The depth-(k - height) window of f . (left, right) by tree transport:
+    even-degree terms carry each tree to its own side, odd-degree terms to
+    the other side."""
+    degrees = [len(t.alpha) - len(t.beta) for t in f.terms]
+    out_depth = k - max(map(abs, degrees))
+    new_left: set[str] = set()
+    new_right: set[str] = set()
+    for t, d in zip(f.terms, degrees):
+        src_left, src_right = (right, left) if d % 2 else (left, right)
+        transport_tree(src_left, t.beta, t.alpha, out_depth, new_left)
+        transport_tree(src_right, t.beta, t.alpha, out_depth, new_right)
+    return frozenset(new_left), frozenset(new_right)
 
 
 def pl_equal(f: GroupElement, g_values: dict[Fraction, Fraction], grid_exp: int) -> bool:

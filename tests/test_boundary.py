@@ -1,10 +1,15 @@
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from ftrees.boundary import (
     DepthTooShallow,
     MalformedPair,
+    NotRealizable,
     PairTruncation,
     RigidPair,
     TreeTruncation,
@@ -20,7 +25,21 @@ from ftrees.elements import GroupElement, height
 from ftrees.generators import gen_x, generator_ball, standard_generators
 from ftrees.omega import ONE, ZERO, DiagonalProjection, act, omega2_member, orbit, trace
 
-from oracles import brute_force_realizable, enumerate_trees, windows_settle
+from oracles import (
+    act_by_transport,
+    act_on_window,
+    admissible,
+    brute_force_realizable,
+    combine,
+    enumerate_trees,
+    is_tree,
+    measure,
+    pattern_window,
+    region,
+    rounded_region,
+    window_by_vertices,
+    windows_settle,
+)
 
 
 def test_tree_truncation_invariants():
@@ -178,3 +197,205 @@ def test_witness_rigid_cases():
     assert is_realizable(path)
     with pytest.raises(RigidPair):
         non_isolation_witness(path)
+
+
+def _random_projection(rng: random.Random, max_level: int) -> DiagonalProjection:
+    """A nonzero projection: random leaves of a random complete code."""
+    code = [""]
+    for _ in range(rng.randint(1, 2 * max_level)):
+        splittable = [w for w in code if len(w) < max_level]
+        if splittable:
+            w = rng.choice(splittable)
+            code.remove(w)
+            code += [w + "1", w + "2"]
+    return DiagonalProjection([w for w in code if rng.random() < 0.5] or [rng.choice(code)])
+
+
+def _random_pattern(rng: random.Random, k: int, letters: str = "LRB") -> str:
+    return "".join(rng.choice(letters) for _ in range(1 << k))
+
+
+def _pair(k, left, right) -> PairTruncation:
+    return PairTruncation(TreeTruncation(k, left), TreeTruncation(k, right))
+
+
+def _as_vertices(pair: PairTruncation):
+    return pair.left.vertices, pair.right.vertices
+
+
+def test_embed_matches_vertex_oracle():
+    rng = random.Random(71)
+    pool = sorted(orbit(ONE, 4), key=lambda p: p.support)
+    for i in range(400):
+        q = rng.choice(pool) if i % 2 else _random_projection(rng, 9)
+        k = rng.randint(0, 9)
+        pair = embed(q, k)
+        assert _as_vertices(pair) == window_by_vertices(q, k), (q, k)
+        for tree in (pair.left, pair.right):
+            assert tree.sorted_vertices() == sorted(tree.vertices, key=lambda v: (len(v), v))
+            assert tree.frontier() == {v for v in tree.vertices if len(v) == k}
+
+
+def test_tree_truncation_accepts_exactly_the_trees():
+    rng = random.Random(72)
+    outcomes = set()
+    for _ in range(600):
+        k = rng.randint(0, 4)
+        _, left, _ = pattern_window(_random_pattern(rng, k, "L-"))
+        vs = set(left)
+        for _ in range(rng.randint(0, 2)):
+            v = "".join(rng.choice("12") for _ in range(rng.randint(0, k + 1)))
+            vs.symmetric_difference_update({v})
+        ok = is_tree(frozenset(vs), k)
+        outcomes.add(ok)
+        if ok:
+            assert TreeTruncation(k, vs).vertices == vs
+        else:
+            with pytest.raises(MalformedPair):
+                TreeTruncation(k, vs)
+    assert outcomes == {True, False}
+    with pytest.raises(MalformedPair):
+        TreeTruncation(-1, [])
+
+
+def _act_cases(rng: random.Random):
+    """(f, window) pairs: the windows of projections and arbitrary
+    covering windows, at depths requirement + 0..3."""
+    ball = generator_ball(3)
+    for i in range(500):
+        f = rng.choice(ball)
+        k = window_requirement(f) + rng.randint(0, 3)
+        if i % 2:
+            yield f, embed(_random_projection(rng, k + 2), k)
+        else:
+            k, left, right = pattern_window(_random_pattern(rng, k))
+            yield f, _pair(k, left, right)
+
+
+def test_act_truncated_matches_transport_oracle():
+    for f, pair in _act_cases(random.Random(73)):
+        got = act_truncated(f, pair)
+        assert got.depth == pair.depth - height(f)
+        assert _as_vertices(got) == act_on_window(f, *_as_vertices(pair), pair.depth), (f, pair)
+
+
+def test_pairs_that_do_not_cover_are_rejected():
+    for pattern in ("LB-R", "-", "--", "LLLRRRB-"):
+        k, left, right = pattern_window(pattern)
+        with pytest.raises(MalformedPair):
+            _pair(k, left, right)
+
+
+def test_stabilizes_matches_vertex_oracle():
+    rng = random.Random(74)
+    outcomes = set()
+    for _ in range(300):
+        k = rng.randint(0, 6)
+        pool = [_random_projection(rng, 8) for _ in range(3)] + [ZERO]
+        seq = [rng.choice(pool) for _ in range(rng.randint(0, 8))]
+        tail = {window_by_vertices(q, k) for q in seq[len(seq) // 2 :]}
+        assert stabilizes(seq, k) == (len(tail) <= 1), (seq, k)
+        outcomes.add(len(tail) <= 1)
+    assert outcomes == {True, False}
+
+
+def test_is_realizable_matches_brute_force_on_covering_windows():
+    rng = random.Random(75)
+    outcomes = set()
+    for _ in range(400):
+        k, left, right = pattern_window(_random_pattern(rng, rng.randint(0, 5)))
+        pair = _pair(k, left, right)
+        if not left:
+            with pytest.raises(MalformedPair):
+                is_realizable(pair)
+            continue
+        want = brute_force_realizable(left, right, k, level=k + 4)
+        assert is_realizable(pair) == want, pair
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_witness_matches_oracles():
+    rng = random.Random(76)
+    seen = set()
+    for i in range(400):
+        k = rng.randint(0, 6)
+        if i % 3:
+            k, left, right = pattern_window(_random_pattern(rng, k, "LRBB"))
+        else:
+            left, right = window_by_vertices(_random_projection(rng, k + 2), k)
+        if not left:
+            continue
+        pair = _pair(k, left, right)
+        if not brute_force_realizable(left, right, k, level=k + 4):
+            with pytest.raises(NotRealizable):
+                non_isolation_witness(pair)
+            seen.add("not realizable")
+        elif not any(len(v) == k for v in left & right):
+            with pytest.raises(RigidPair):
+                non_isolation_witness(pair)
+            seen.add("rigid")
+        else:
+            q1, q2 = non_isolation_witness(pair)
+            assert q1 != q2
+            for q in (q1, q2):
+                assert window_by_vertices(q, k) == (left, right), (pair, q)
+                assert admissible(measure(region(q)))
+            seen.add("witness")
+    assert seen == {"not realizable", "rigid", "witness"}
+
+
+def test_sparse_depth_40_windows_are_fast_and_exact():
+    q = DiagonalProjection(["1" * 40 + "2", "2"])
+    x0 = gen_x(0)
+    t0 = time.perf_counter()
+    pair = embed(q, 40)
+    settled = stabilizes([q] * 8, 40)
+    moved = act_truncated(x0, pair)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0, elapsed
+    assert settled
+    not_q = combine(lambda x: not x, region(q))
+    assert region(pair.left.cells) == rounded_region(region(q), 40)
+    assert region(pair.right.cells) == rounded_region(not_q, 40)
+    image = act_by_transport(x0, q)
+    assert moved.depth == 39
+    assert region(moved.left.cells) == rounded_region(region(image), 39)
+    assert region(moved.right.cells) == rounded_region(combine(lambda x: not x, region(image)), 39)
+    # a sequence whose windows differ in one depth-40 cell does not settle
+    other = DiagonalProjection(["1" * 39 + "2", "2"])
+    assert not stabilizes([q, other] * 4, 40)
+
+
+_SABOTAGED_WITNESS = """
+import sys
+from ftrees import boundary
+from ftrees.omega import InternalSearchExhausted
+
+assert not __debug__
+honest = boundary._fill
+pair = boundary.PairTruncation(boundary.TreeTruncation.full(2), boundary.TreeTruncation.full(2))
+for name, fill in [
+    ("one atom too many", lambda inner, cells, k, t, total: honest(inner, cells, k, t, total + 1)),
+    ("last cell left empty", lambda inner, cells, k, t, total: honest(inner, cells[:-1], k, t, total)),
+]:
+    boundary._fill = fill
+    try:
+        boundary.non_isolation_witness(pair)
+    except InternalSearchExhausted:
+        print(name, "rejected")
+    else:
+        print(name, "returned unchecked")
+"""
+
+
+def test_witness_is_checked_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _SABOTAGED_WITNESS],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "one atom too many rejected\nlast cell left empty rejected\n"

@@ -2,20 +2,27 @@ import contextlib
 import io
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftrees.boundary import PairTruncation, TreeTruncation
 from ftrees.cli import (
     format_element,
+    format_pair,
     format_projection,
     main,
     parse_element,
+    parse_pair,
     parse_projection,
 )
+from ftrees.elements import GroupElement
 from ftrees.generators import generator_ball
-from ftrees.omega import ONE, orbit
+from ftrees.omega import ONE, DiagonalProjection, orbit
+
+from oracles import pattern_window
 
 
 def run_cli(capsys, *argv):
@@ -42,6 +49,64 @@ def test_projection_round_trip():
         assert parse_projection(format_projection(p, as_json=True), as_json=True) == p
     assert parse_projection("0").is_zero()
     assert parse_projection("1").is_one()
+
+
+@st.composite
+def complete_codes(draw, leaves: int | None = None) -> list[str]:
+    """A complete prefix code grown by splitting drawn leaves, in lex order."""
+    n = draw(st.integers(1, 9)) if leaves is None else leaves
+    code = [""]
+    for i in draw(st.lists(st.integers(0, 63), min_size=n - 1, max_size=n - 1)):
+        w = code.pop(i % len(code))
+        code += [w + "1", w + "2"]
+    return sorted(code)
+
+
+@st.composite
+def elements(draw) -> GroupElement:
+    """An element of V: two complete codes of one size, paired in a drawn order."""
+    domain = draw(complete_codes())
+    codomain = draw(complete_codes(len(domain)))
+    return GroupElement.from_terms(zip(draw(st.permutations(codomain)), domain))
+
+
+@st.composite
+def projections(draw) -> DiagonalProjection:
+    """Any subset of the leaves of a complete code, 0 and 1 included."""
+    code = draw(complete_codes())
+    return DiagonalProjection(w for w in code if draw(st.booleans()))
+
+
+# a covering window by its depth-k cells: L left tree only, R right only, B both
+WINDOW_PATTERNS = st.integers(0, 6).flatmap(
+    lambda k: st.text(alphabet="LRB", min_size=1 << k, max_size=1 << k)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements())
+def test_format_then_parse_returns_the_element(f):
+    assert parse_element(format_element(f)).terms == f.terms
+    assert parse_element(format_element(f, as_json=True), as_json=True).terms == f.terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(projections())
+def test_format_then_parse_returns_the_projection(p):
+    assert parse_projection(format_projection(p)) == p
+    assert parse_projection(format_projection(p, as_json=True), as_json=True) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(WINDOW_PATTERNS)
+def test_format_then_parse_returns_the_pair(pattern):
+    k, left, right = pattern_window(pattern)
+    pair = PairTruncation(TreeTruncation(k, left), TreeTruncation(k, right))
+    assert (pair.left.vertices, pair.right.vertices) == (left, right)
+    text = format_pair(pair)
+    again = parse_pair(text)
+    assert again == pair and hash(again) == hash(pair)
+    assert format_pair(again) == text
 
 
 def test_mul_worked_product(capsys):
@@ -166,6 +231,16 @@ def test_boundary_subcommands(capsys):
         "left": ["e", "1", "12"],
         "right": ["e", "1", "2", "11", "21", "22"],
     }
+
+
+def test_pair_depth_cap_exits_2(capsys):
+    deep = "1" * 100_000
+    pair = json.dumps({"depth": len(deep), "left": [deep], "right": []})
+    t0 = time.perf_counter()
+    for argv in (["realizable", pair], ["witness", pair], ["boundary-act", "e:e", pair]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and "FTREES_MAX_DEPTH" in err, argv[0]
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_separate_certificate(capsys):

@@ -1,0 +1,82 @@
+"""Byte-exact CLI output of the boundary subcommands and of an orbit file.
+
+`goldens.json` was recorded from the dense vertex-set implementation of
+the boundary module, before windows became intervals; the printed bytes
+and exit codes must not change.  Each window is rebuilt here from the
+vertex oracle, so the inputs do not depend on the code under test.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from ftrees.cli import main
+from ftrees.omega import DiagonalProjection
+
+from oracles import pattern_window, window_by_vertices
+
+GOLDENS = json.loads((Path(__file__).with_name("goldens.json")).read_text())
+
+# depth-k windows by their cells (L left only, R right only, B both) or
+# as the window of a projection
+WINDOWS = {
+    "full-12": "B" * 4096,
+    "one-3": "L" * 8,
+    "path-1": "LR",
+    "mixed-3": "RBLLBRRB",
+    "mixed-5": "LLBRRRBBLRLLLBRRBBBLRRRLLLLBRBRL",
+    "sparse-4": (["1", "221"], 4),
+    "sparse-6": (["1111112", "12", "2211"], 6),
+    "zero-2": "RRRR",
+    "gap-2": "LB-R",
+}
+ELEMENTS = {
+    "x0": "11:1 + 12:21 + 2:22",
+    "x1": "1:1 + 211:21 + 212:221 + 22:222",
+    "x0^-1": "1:11 + 21:12 + 22:2",
+}
+
+
+def pair_json(name: str) -> str:
+    spec = WINDOWS[name]
+    if isinstance(spec, str):
+        k, left, right = pattern_window(spec)
+    else:
+        support, k = spec
+        left, right = window_by_vertices(DiagonalProjection(support), k)
+
+    def words(vs):
+        return [v or "e" for v in sorted(vs, key=lambda v: (len(v), v))]
+
+    return json.dumps({"depth": k, "left": words(left), "right": words(right)}, sort_keys=True)
+
+
+def argv_of(case: dict) -> list[str]:
+    pair = pair_json(case["window"])
+    if case["command"] == "boundary-act":
+        return ["boundary-act", ELEMENTS[case["element"]], pair]
+    return [case["command"], pair]
+
+
+def record(capsys, argv: list[str]) -> dict:
+    code = main(argv)
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    return {"code": code, "sha256": digest, "stdout": out if len(out) <= 400 else None}
+
+
+@pytest.mark.parametrize(
+    "case", GOLDENS["boundary"], ids=lambda c: f"{c['command']}-{c['window']}-{c.get('element')}"
+)
+def test_boundary_output_is_byte_identical(capsys, case):
+    got = record(capsys, argv_of(case))
+    assert got == {k: case[k] for k in ("code", "sha256", "stdout")}
+
+
+def test_orbit_file_is_byte_identical(capsys, tmp_path):
+    out = tmp_path / "f"
+    assert main(["orbit", "1", "--depth", "6", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == GOLDENS["orbit"]["stdout"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDENS["orbit"]["sha256"]

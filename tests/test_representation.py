@@ -159,3 +159,20 @@ def test_certificate_compiles_each_element_once(monkeypatch):
     assert cert.verify()
     assert len(walked) > 1
     assert len(built) <= len(fs) + len(walked)
+
+
+def test_certificate_acts_on_its_point_once_per_element(monkeypatch):
+    calls = []
+
+    def counting_act(f, p):
+        calls.append((f.terms, p))
+        return act(f, p)
+
+    monkeypatch.setattr(representation, "act", counting_act)
+    rng = random.Random(32)
+    fs = rng.sample(generator_ball(3), 20)
+    cert = independence_certificate(fs)
+    family = {f.terms for f in fs}
+    assert sum(t in family and p == cert.point for t, p in calls) == len(fs)
+    assert cert.images == tuple(act(f, cert.point) for f in fs)
+    assert cert.verify()
