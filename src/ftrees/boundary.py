@@ -163,10 +163,12 @@ class PairTruncation:
 
 
 def _window(k: int, left: DiagonalProjection, right: DiagonalProjection) -> PairTruncation:
-    """The depth-k window whose trees meet the regions `left` and `right`."""
-    return PairTruncation(
-        TreeTruncation.of_projection(left, k), TreeTruncation.of_projection(right, k)
-    )
+    """The depth-k window meeting `left` and `right`, built unchecked: every
+    caller passes two regions whose union is 1, so its trees cover."""
+    pair = object.__new__(PairTruncation)
+    object.__setattr__(pair, "left", TreeTruncation.of_projection(left, k))
+    object.__setattr__(pair, "right", TreeTruncation.of_projection(right, k))
+    return pair
 
 
 def embed(q: DiagonalProjection, k: int) -> PairTruncation:
@@ -258,10 +260,10 @@ def non_isolation_witness(pair: PairTruncation) -> tuple[DiagonalProjection, Dia
     checked before they are returned.
     """
     k = pair.depth
-    if not is_realizable(pair):
-        raise NotRealizable(f"the depth-{k} window has no Omega_2 point in its cylinder")
     shared = meet(pair.left.cells, pair.right.cells)
     if shared.is_zero():
+        if not is_realizable(pair):
+            raise NotRealizable(f"the depth-{k} window has no Omega_2 point in its cylinder")
         raise RigidPair(f"the depth-{k} window pins down a single point of Omega_2")
     t = 3 if k % 2 == 0 else 4  # k + t odd: a uniform admissible level
     cells = _cells(shared, k)

@@ -166,17 +166,14 @@ def export_dot(kind: str, f: GroupElement) -> str:
             ("domain", [t.beta for t in f.terms], "d"),
             ("range", [t.alpha for t in f.terms], "r"),
         ):
-            leaves = sorted(words)
-            vertices = sorted({w[:i] for w in leaves for i in range(len(w) + 1)})
+            ordinal = {v: i for i, v in enumerate(sorted(words), 1)}
+            vertices = sorted({w[:i] for w in ordinal for i in range(len(w) + 1)})
             lines.append(f"  subgraph cluster_{name} {{")
             lines.append(f'    label="{name}";')
             for v in vertices:
                 node = f"{tag}_{v or 'root'}"
-                if v in leaves:
-                    ordinal = leaves.index(v) + 1
-                    lines.append(
-                        f'    {node} [shape=plaintext, label="{ordinal}"];'
-                    )
+                if v in ordinal:
+                    lines.append(f'    {node} [shape=plaintext, label="{ordinal[v]}"];')
                 else:
                     lines.append(f"    {node};")
             for v in vertices:

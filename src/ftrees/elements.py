@@ -4,7 +4,8 @@ A term (alpha, beta) stands for the partial isometry S_alpha S_beta*; a
 unitary finite sum of such terms is a bijection between two complete
 codes, i.e. a tree-pair diagram.  The canonical form is fully
 sibling-reduced and sorted by the alpha word, which makes equality the
-word problem.
+word problem.  Terms are checked once, by `validate_unitary`; what is
+built from checked elements is not checked again.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ._packed import PackedElement
-from .words import CompleteCode, _merge_walk, check_word, word_to_str
+from .words import CompleteCode, _merge_walk, word_to_str
 
 
 class NotUnitary(ValueError):
@@ -120,23 +121,16 @@ def validate_unitary(terms: Sequence[Term]) -> GroupElement:
     """Canonicalize a term list, checking the unitarity conditions.
 
     The sum is unitary iff the alpha words and the beta words each form a
-    complete code; the lex pairing between the codes is then a bijection.
+    complete code (which checks every word); the lex pairing between the
+    codes is then a bijection.
     """
     if not terms:
         raise NotUnitary("empty term list (group elements are never zero)")
-    for t in terms:
-        check_word(t.alpha)
-        check_word(t.beta)
-    alphas = [t.alpha for t in terms]
-    betas = [t.beta for t in terms]
-    try:
-        CompleteCode(alphas)
-    except ValueError as exc:
-        raise NotUnitary(f"range side: {exc}") from exc
-    try:
-        CompleteCode(betas)
-    except ValueError as exc:
-        raise NotUnitary(f"domain side: {exc}") from exc
+    for side, words in (("range", [t.alpha for t in terms]), ("domain", [t.beta for t in terms])):
+        try:
+            CompleteCode(words)
+        except ValueError as exc:
+            raise NotUnitary(f"{side} side: {exc}") from exc
     return GroupElement(_reduce_terms(terms))
 
 
@@ -195,26 +189,19 @@ def inverse(u: GroupElement) -> GroupElement:
     return GroupElement(tuple(sorted(Term(t.beta, t.alpha) for t in u.terms)))
 
 
-def _position_map(u: GroupElement) -> list[int]:
-    """With both codes lex-sorted, position of each term's alpha, indexed
-    by the position of its beta."""
-    by_beta = sorted(u.terms, key=lambda t: t.beta)
-    alpha_rank = {t.alpha: i for i, t in enumerate(sorted(u.terms))}
-    return [alpha_rank[t.alpha] for t in by_beta]
-
-
 def is_order_preserving(u: GroupElement) -> bool:
-    """Membership in F: the bipartite diagram has no crossings."""
-    pm = _position_map(u)
-    return pm == list(range(len(pm)))
+    """Membership in F: the bipartite diagram has no crossings, so in the
+    canonical alpha order of the terms the betas are sorted too."""
+    betas = [t.beta for t in u.terms]
+    return betas == sorted(betas)
 
 
 def is_cyclic_order_preserving(u: GroupElement) -> bool:
-    """Membership in T: the diagram is order preserving up to rotation."""
-    pm = _position_map(u)
-    n = len(pm)
-    shift = pm[0]
-    return pm == [(shift + i) % n for i in range(n)]
+    """Membership in T: order preserving up to rotation, so in the canonical
+    alpha order of the terms the betas are sorted once the least is rotated first."""
+    betas = [t.beta for t in u.terms]
+    first = betas.index(min(betas))
+    return betas[first:] + betas[:first] == sorted(betas)
 
 
 def parity_split(u: GroupElement) -> tuple[tuple[Term, ...], tuple[Term, ...]]:

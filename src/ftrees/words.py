@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
+from . import _packed
 from .dyadic import Dyadic
 
 ALPHABET = ("1", "2")
@@ -59,12 +60,6 @@ def lex_compare(u: str, v: str) -> Ordering:
     return Ordering.BEFORE if u < v else Ordering.AFTER
 
 
-def is_antichain(words: Iterable[str]) -> bool:
-    # sorting puts a word right before its extensions and its repeats
-    ws = sorted(words)
-    return not any(b.startswith(a) for a, b in zip(ws, ws[1:]))
-
-
 def kraft_sum(words: Iterable[str]) -> Dyadic:
     """Sum of 2^-|w| over the given words, exactly: one integer sum of
     2^(L - |w|) over the common denominator 2^L, L the longest length."""
@@ -75,15 +70,18 @@ def kraft_sum(words: Iterable[str]) -> Dyadic:
 
 @dataclass(frozen=True)
 class CompleteCode:
-    """A complete prefix code: lex-sorted antichain with Kraft sum 1."""
+    """A complete prefix code: lex-sorted words whose intervals tile [0, 1]
+    (an antichain with Kraft sum 1), checked once by `_packed.pack`."""
 
     words: tuple[str, ...]
 
     def __init__(self, words: Iterable[str]) -> None:
-        ws = tuple(sorted(check_word(w) for w in words))
-        if not is_antichain(ws):
-            raise ValueError(f"not an antichain: {ws}")
-        if kraft_sum(ws) != 1:
+        ws = tuple(sorted(map(check_word, words)))
+        try:
+            tiles = _packed.pack(ws) == (0, (0, 1))
+        except ValueError:
+            raise ValueError(f"not an antichain: {ws}") from None
+        if not tiles:
             raise ValueError(f"Kraft sum of {ws} is {kraft_sum(ws)}, not 1")
         object.__setattr__(self, "words", ws)
 

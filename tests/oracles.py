@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's own computation paths:
 elements are modelled as piecewise-linear maps over exact fractions,
 generator actions are hardcoded from their closed forms, the action on
 projections is string transport of support words, refinement and
-multiplication are prefix scans and a dictionary match, traces and set
+multiplication are prefix scans and a dictionary match, codes are
+checked by a prefix scan of their sorted words, F and T membership is
+read off the position map of the two sorted codes, traces and set
 operations are exact fractions on the covered region of [0, 1), tree
 windows are dense vertex sets moved by string transport, and
 realizability is decided by exhausting fill counts.
@@ -300,6 +302,22 @@ def composition_agrees(h: GroupElement, u: GroupElement, w: GroupElement) -> boo
     cuts = sorted(cuts)
     points = [x for a, b in zip(cuts, cuts[1:]) for x in (a, (a + b) / 2)]
     return all(apply(ph, x) == apply(pu, apply(pw, x)) for x in points)
+
+
+def is_antichain(words) -> bool:
+    """No word is a prefix of another, repeats included: sorting puts a
+    word right before its extensions and its repeats."""
+    ws = sorted(words)
+    return not any(b.startswith(a) for a, b in zip(ws, ws[1:]))
+
+
+def position_map(u: GroupElement) -> list[int]:
+    """With both codes lex-sorted, the position of each term's alpha,
+    indexed by the position of its beta: the identity in F, a rotation
+    in T."""
+    by_beta = sorted(u.terms, key=lambda t: t.beta)
+    alpha_rank = {t.alpha: i for i, t in enumerate(sorted(u.terms))}
+    return [alpha_rank[t.alpha] for t in by_beta]
 
 
 def common_refinement_by_scan(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:

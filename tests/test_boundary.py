@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ftrees import _packed
 from ftrees.boundary import (
     DepthTooShallow,
     MalformedPair,
@@ -284,6 +285,33 @@ def test_pairs_that_do_not_cover_are_rejected():
         k, left, right = pattern_window(pattern)
         with pytest.raises(MalformedPair):
             _pair(k, left, right)
+
+
+def test_windows_the_library_builds_are_not_checked_again(monkeypatch):
+    # the window of (q, 1 - q) covers by construction, so only pairs that
+    # enter from outside run the cover `join`; a sweep is one combine call
+    sweeps = 0
+    engine_combine = _packed.combine
+
+    def counting(*args):
+        nonlocal sweeps
+        sweeps += 1
+        return engine_combine(*args)
+
+    def sweeps_of(run) -> int:
+        nonlocal sweeps
+        sweeps = 0
+        run()
+        return sweeps
+
+    monkeypatch.setattr(_packed, "combine", counting)
+    q = DiagonalProjection(["111", "1211", "22"])
+    pair = embed(q, 3)
+    assert sweeps_of(lambda: embed(q, 3)) == 0
+    assert sweeps_of(lambda: act_truncated(gen_x(0), pair)) <= 2  # the join and the meet
+    assert sweeps_of(lambda: non_isolation_witness(pair)) <= 3  # one meet, two fills
+    assert sweeps_of(lambda: stabilizes([q] * 8, 4)) == 0
+    assert sweeps_of(lambda: PairTruncation(pair.left, pair.right)) == 1
 
 
 def test_stabilizes_matches_vertex_oracle():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ftrees.boundary import PairTruncation, TreeTruncation
 from ftrees.cli import (
+    export_dot,
     format_element,
     format_pair,
     format_projection,
@@ -251,6 +252,36 @@ def test_separate_certificate(capsys):
     assert len(data["images"]) == 2
 
 
+TREEPAIR_X0 = """digraph treepair {
+  node [shape=circle, label=""];
+  subgraph cluster_domain {
+    label="domain";
+    d_root;
+    d_1 [shape=plaintext, label="1"];
+    d_2;
+    d_21 [shape=plaintext, label="2"];
+    d_22 [shape=plaintext, label="3"];
+    d_root -> d_1;
+    d_root -> d_2;
+    d_2 -> d_21;
+    d_2 -> d_22;
+  }
+  subgraph cluster_range {
+    label="range";
+    r_root;
+    r_1;
+    r_11 [shape=plaintext, label="1"];
+    r_12 [shape=plaintext, label="2"];
+    r_2 [shape=plaintext, label="3"];
+    r_root -> r_1;
+    r_1 -> r_11;
+    r_1 -> r_12;
+    r_root -> r_2;
+  }
+}
+"""
+
+
 def test_dot_outputs(capsys):
     crossing = "21:1 + 22:21 + 1:22"
     code, out, _ = run_cli(capsys, "dot", "--kind", "bipartite", crossing)
@@ -264,12 +295,31 @@ def test_dot_outputs(capsys):
     code, tree, _ = run_cli(capsys, "dot", "--kind", "treepair", "e:e")
     assert code == 0
     assert tree.count("cluster_") == 2
+    assert run_cli(capsys, "dot", "--kind", "treepair", x0)[1] == TREEPAIR_X0
     # stability across input orderings and across the two syntaxes
     code, again, _ = run_cli(capsys, "dot", "--kind", "bipartite", "1:22 + 22:21 + 21:1")
     assert again == out
     as_json = json.dumps({"terms": [["21", "1"], ["22", "21"], ["1", "22"]]})
     code, from_json, _ = run_cli(capsys, "--json", "dot", "--kind", "bipartite", as_json)
     assert from_json == out
+
+
+def test_treepair_dot_of_20000_leaves():
+    rng = random.Random(20)
+    codes = []
+    for _ in range(2):
+        words = [""]
+        while len(words) < 20_000:
+            i = rng.randrange(len(words))
+            words[i : i + 1] = [words[i] + "1", words[i] + "2"]
+        codes.append(words)
+    f = GroupElement.from_terms(zip(*codes))
+    start = time.perf_counter()
+    out = export_dot("treepair", f)
+    assert time.perf_counter() - start < 1.0
+    # each tree lists its leaves, ranked 1..n in lex order, once
+    assert out.count("shape=plaintext") == 2 * len(f.terms)
+    assert f'label="{len(f.terms)}"]' in out
 
 
 def test_error_diagnostics(capsys):

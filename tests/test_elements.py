@@ -24,15 +24,17 @@ from ftrees.elements import (
     validate_unitary,
 )
 from ftrees.generators import gen_x, generator_ball
-from ftrees.words import CompleteCode, uniform_code
+from ftrees.words import CompleteCode, kraft_sum, uniform_code
 
 from oracles import (
     common_refinement_by_scan,
     compose_values,
     composition_agrees,
     eval_element,
+    is_antichain,
     multiply_terms_by_match,
     pl_equal,
+    position_map,
     refine_by_scan,
 )
 
@@ -145,6 +147,113 @@ def test_validate_unitary_rejects_incomplete():
         validate_unitary([])
     with pytest.raises(NotUnitary):
         validate_unitary([Term("1", "1"), Term("2", "21"), Term("21", "2")])
+
+
+def random_pairing(rng: random.Random, n: int) -> tuple[list[str], list[str]]:
+    """Two random codes of n words, paired in order, rotated or shuffled."""
+    alphas, betas = random_code(rng, n), random_code(rng, n)
+    r = rng.randrange(n)
+    pairing = rng.choice(["identity", "rotated", "shuffled"])
+    if pairing == "rotated":
+        betas = betas[r:] + betas[:r]
+    elif pairing == "shuffled":
+        rng.shuffle(betas)
+    return alphas, betas
+
+
+def broken_term_list(rng: random.Random) -> list[Term]:
+    """A random term list: a valid tree pair (paired in order, rotated or
+    shuffled, some terms split into both children), or one with a side
+    broken by dropping, repeating or extending a word or by a bad letter."""
+    alphas, betas = random_pairing(rng, rng.randint(1, 24))
+    pairs = []
+    for a, b in zip(alphas, betas):
+        if rng.random() < 0.2:
+            pairs += [(a + "1", b + "1"), (a + "2", b + "2")]
+        else:
+            pairs.append((a, b))
+    how = rng.choice(["valid", "drop", "repeat", "extend", "letter"])
+    side = rng.randrange(2)
+    sides = [[p[0] for p in pairs], [p[1] for p in pairs]]
+    ws, i = sides[side], rng.randrange(len(pairs))
+    if how == "drop":
+        # the other side stays a complete code of one word fewer: a
+        # sibling pair merged into its parent, when it has one
+        other = sides[1 - side]
+        kids = [j for j, w in enumerate(other) if w.endswith("1") and w[:-1] + "2" in other]
+        del ws[i]
+        if kids:
+            w = other[kids[0]][:-1]
+            other.remove(w + "2")
+            other[other.index(w + "1")] = w
+        else:
+            del other[i]
+    elif how == "repeat":
+        ws[i] = ws[rng.randrange(len(ws))]
+    elif how == "extend":
+        ws[i] = ws[rng.randrange(len(ws))] + rng.choice("12")
+    elif how == "letter":
+        ws[i] = ws[i] + rng.choice("03x")
+    return [Term(a, b) for a, b in zip(*sides)]
+
+
+def rejection(words: list[str]) -> str | None:
+    """The oracle: why the words are not a complete code, if they are not."""
+    if not all(ch in "12" for w in words for ch in w):
+        return "invalid letter"
+    if not is_antichain(words):
+        return "not an antichain"
+    if kraft_sum(words) != 1:
+        return "Kraft sum"
+    return None
+
+
+def test_validate_unitary_matches_code_oracles():
+    rng = random.Random(81)
+    seen = {"range": 0, "domain": 0, "valid": 0}
+    for _ in range(600):
+        terms = broken_term_list(rng)
+        if not terms:
+            with pytest.raises(NotUnitary, match="^empty term list"):
+                validate_unitary(terms)
+            continue
+        alphas, betas = [t.alpha for t in terms], [t.beta for t in terms]
+        for side, words in (("range", alphas), ("domain", betas)):
+            why = rejection(words)
+            if why is not None:
+                seen[side] += 1
+                with pytest.raises(NotUnitary, match=f"^{side} side: {why}"):
+                    validate_unitary(terms)
+                break
+        else:
+            seen["valid"] += 1
+            got = validate_unitary(terms)
+            # the canonical form: alpha-sorted, no sibling pair left to
+            # merge, and the input is its refinement to the input's alphas
+            assert list(got.terms) == sorted(got.terms)
+            assert not any(
+                a.alpha[:-1] == b.alpha[:-1] and a.beta[:-1] == b.beta[:-1]
+                and a.alpha[-1:] == a.beta[-1:] == "1" and b.alpha[-1:] == b.beta[-1:] == "2"
+                for a, b in zip(got.terms, got.terms[1:])
+            )
+            assert refine_by_scan(got, CompleteCode(alphas), Side.RANGE) == sorted(terms)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_f_and_t_membership_match_the_position_map():
+    rng = random.Random(82)
+    kinds = {"F": 0, "T": 0, "V": 0}
+    for _ in range(600):
+        alphas, betas = random_pairing(rng, rng.randint(1, 20))
+        f = GroupElement.from_terms(zip(alphas, betas))
+        pm = position_map(f)
+        m = len(pm)
+        in_f = pm == list(range(m))
+        in_t = pm == [(pm[0] + i) % m for i in range(m)]
+        assert is_order_preserving(f) == in_f, f
+        assert is_cyclic_order_preserving(f) == in_t, f
+        kinds["F" if in_f else "T" if in_t else "V"] += 1
+    assert min(kinds.values()) >= 50, kinds
 
 
 def test_refine_worked_example():

@@ -7,7 +7,6 @@ from ftrees.words import (
     CompleteCode,
     Ordering,
     common_refinement,
-    is_antichain,
     is_prefix,
     kraft_sum,
     lex_compare,
@@ -16,7 +15,7 @@ from ftrees.words import (
     word_to_str,
 )
 
-from oracles import common_refinement_by_scan
+from oracles import common_refinement_by_scan, is_antichain
 
 words = st.text(alphabet="12", max_size=7)
 
