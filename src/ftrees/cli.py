@@ -30,6 +30,8 @@ from .omega import DiagonalProjection
 from .words import word_from_str, word_to_str
 
 MAX_GENERATOR_INDEX = 64
+# `unnf` multiplies its word out letter by letter, which is quadratic
+MAX_UNNF_LETTERS = 1000
 
 
 def _max_depth() -> int:
@@ -211,6 +213,8 @@ def _cmd_nf(args: argparse.Namespace) -> int:
 
 def _cmd_unnf(args: argparse.Namespace) -> int:
     letters = parse_generator_word(args.word)
+    if len(letters) > MAX_UNNF_LETTERS:
+        raise ValueError(f"{len(letters)} letters exceed cap {MAX_UNNF_LETTERS}")
     for idx, _ in letters:
         if idx > MAX_GENERATOR_INDEX:
             raise ValueError(f"generator index {idx} exceeds cap {MAX_GENERATOR_INDEX}")

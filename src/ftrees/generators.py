@@ -8,7 +8,10 @@ x_{j1} ... x_{jk} x_{il}^-1 ... x_{i1}^-1 with both index lists
 non-decreasing, jk != il, and: if m occurs in both lists then m+1 occurs
 in at least one of them.  Its exponents are the leaf exponents of the
 reduced tree pair of the element (Cannon, Floyd and Parry, section 2),
-so `to_normal_form` reads them off the canonical terms.
+so `to_normal_form` reads them off the canonical terms, and
+`from_normal_form` builds the reduced tree pair straight from them.
+`to_normal_form` certifies its result by comparing that directly built
+pair with the element.
 """
 
 from __future__ import annotations
@@ -62,8 +65,9 @@ class NormalFormWord:
         if self.positive and self.negative and self.positive[-1] == self.negative[-1]:
             raise ValueError("j_k = i_l: the word is freely reducible")
         both = set(self.positive) & set(self.negative)
+        either = set(self.positive) | set(self.negative)
         for m in both:
-            if m + 1 not in self.positive and m + 1 not in self.negative:
+            if m + 1 not in either:
                 raise ValueError(
                     f"x_{m} occurs with both signs but x_{m + 1} with neither"
                 )
@@ -117,9 +121,59 @@ def element_of_word(letters: Iterable[tuple[int, int]]) -> GroupElement:
     return acc
 
 
+def _exponent_counts(indices: tuple[int, ...]) -> list[int]:
+    """a_i for i = 0 .. max index: the number of times i occurs."""
+    counts = [0] * (indices[-1] + 1 if indices else 0)
+    for i in indices:
+        counts[i] += 1
+    return counts
+
+
+def _leaves_needed(counts: list[int]) -> int:
+    """Fewest leaves of a tree whose first leaves have these exponents:
+    one per count, one per right child still pending, and the last leaf."""
+    pending = 0
+    for e in counts:
+        pending = pending + e - 1 if pending else e
+    return len(counts) + pending + 1
+
+
+def _tree_leaves(counts: list[int], n: int) -> list[str]:
+    """The n lex-sorted leaves of the tree whose leaf i has exponent
+    counts[i] (0 past the end), the inverse of `_leaf_exponents`.
+
+    A stack holds the right children still to be visited.  When it is
+    empty, the next spine vertex 2^j opens: its leaf 2^j 1^(e+1) ends a
+    left path of e + 1 steps.  Otherwise the leaf is the popped vertex
+    followed by 1^e.  Either way the right children along the path are
+    pushed, the deepest last; on the spine that leaves out 2^(j+1), the
+    next spine vertex.  The last leaf is the spine vertex itself.
+    """
+    leaves: list[str] = []
+    stack: list[str] = []
+    spine = ""
+    for i in range(n - 1):
+        e = counts[i] if i < len(counts) else 0
+        if stack:
+            cur = stack.pop()
+            leaves.append(cur + "1" * e)
+            stack.extend(cur + "1" * t + "2" for t in range(e))
+        else:
+            leaves.append(spine + "1" * (e + 1))
+            stack.extend(spine + "1" * t + "2" for t in range(1, e + 1))
+            spine += "2"
+    leaves.append(spine)
+    return leaves
+
+
 def from_normal_form(nf: NormalFormWord) -> GroupElement:
-    """Multiply the generator word out to a canonical element."""
-    return element_of_word(nf.letters())
+    """The canonical element of a normal form, built in time linear in
+    its leaves: a_i is the exponent of leaf i of the range tree and b_i
+    of leaf i of the domain tree, the shorter tree padded with
+    exponent-0 leaves.  A valid normal form gives a reduced pair."""
+    pos, neg = _exponent_counts(nf.positive), _exponent_counts(nf.negative)
+    n = max(_leaves_needed(pos), _leaves_needed(neg))
+    return GroupElement(tuple(map(Term, _tree_leaves(pos, n), _tree_leaves(neg, n))))
 
 
 def _leaf_exponents(leaves: Iterable[str]) -> tuple[int, ...]:
@@ -147,7 +201,8 @@ def to_normal_form(f: GroupElement) -> NormalFormWord:
     alpha words) and b_i off leaf i of the domain tree (the beta words);
     see Cannon, Floyd and Parry, "Introductory notes on Richard
     Thompson's groups", Enseign. Math. 42 (1996), section 2.  The result
-    is certified by multiplying it back out.
+    is certified by building its tree pair back with `from_normal_form`
+    and comparing that pair with the terms of f.
     """
     if not is_order_preserving(f):
         raise NotInF("normal forms exist only for order-preserving elements")

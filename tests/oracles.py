@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's own computation paths:
 elements are modelled as piecewise-linear maps over exact fractions,
 generator actions are hardcoded from their closed forms, the action on
 projections is string transport of support words, refinement and
-multiplication are prefix scans and a dictionary match, codes are
+multiplication are prefix scans and a dictionary match, a generator
+word is multiplied out letter by letter from the closed form of x_k and
+sibling-merged to a fixed point over a dictionary, codes are
 checked by a prefix scan of their sorted words, F and T membership is
 read off the position map of the two sorted codes, traces and set
 operations are exact fractions on the covered region of [0, 1), tree
@@ -15,10 +17,12 @@ realizability is decided by exhausting fill counts.
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_right
 from fractions import Fraction
 
 from ftrees.elements import GroupElement, Side, TargetNotARefinement, Term
+from ftrees.generators import NormalFormWord
 from ftrees.omega import DiagonalProjection
 from ftrees.words import CompleteCode, word_to_str
 
@@ -368,6 +372,62 @@ def multiply_terms_by_match(
     return sorted(
         Term(by_middle[t.alpha].alpha, t.beta) for t in refine_by_scan(w, via, Side.RANGE)
     )
+
+
+def generator_terms(k: int, sign: int = 1) -> tuple[Term, ...]:
+    """x_k^sign from x_k = 1 - S_2^k S_2*^k + S_2^k x_0 S_2*^k with
+    x_0 = S_11 S_1* + S_12 S_21* + S_2 S_22*; the inverse swaps sides."""
+    s = "2" * k
+    pairs = [("2" * j + "1", "2" * j + "1") for j in range(k)]
+    pairs += [(s + "11", s + "1"), (s + "12", s + "21"), (s + "2", s + "22")]
+    return tuple(sorted(Term(a, b) if sign > 0 else Term(b, a) for a, b in pairs))
+
+
+def merge_siblings(terms) -> tuple[Term, ...]:
+    """Merge (g1, d1) and (g2, d2) into (g, d) until no pair is left,
+    looking siblings up by alpha word; alpha-sorted."""
+    beta_of = {t.alpha: t.beta for t in terms}
+    merged = True
+    while merged:
+        merged = False
+        for a in list(beta_of):
+            b = beta_of.get(a)
+            if b is None or not (a.endswith("1") and b.endswith("1")):
+                continue
+            if beta_of.get(a[:-1] + "2") == b[:-1] + "2":
+                del beta_of[a], beta_of[a[:-1] + "2"]
+                beta_of[a[:-1]] = b[:-1]
+                merged = True
+    return tuple(sorted(Term(a, b) for a, b in beta_of.items()))
+
+
+def product_of_word(letters) -> tuple[Term, ...]:
+    """Canonical terms of a generator word of (index, sign) letters,
+    multiplied out one letter at a time by the dictionary match."""
+    acc = GroupElement((Term("", ""),))
+    for k, sign in letters:
+        g = GroupElement(generator_terms(k, sign))
+        acc = GroupElement(merge_siblings(multiply_terms_by_match(acc, g)))
+    return acc.terms
+
+
+def random_normal_form(rng: random.Random, letters: int) -> NormalFormWord:
+    """A valid normal form of exactly `letters` letters: sorted random
+    indices, then each violation mended by raising a negative index."""
+    top = max(2, letters // 2)
+    n_pos = rng.randint(0, letters)
+    pos = sorted(rng.randint(0, top) for _ in range(n_pos))
+    neg = sorted(rng.randint(0, top) for _ in range(letters - n_pos))
+    while True:
+        if pos and neg and pos[-1] == neg[-1]:
+            neg[-1] += 1
+            continue
+        either = set(pos) | set(neg)
+        bad = [m for m in set(pos) & set(neg) if m + 1 not in either]
+        if not bad:
+            return NormalFormWord(tuple(pos), tuple(neg))
+        i = len(neg) - 1 - neg[::-1].index(min(bad))
+        neg[i] += 1
 
 
 def atoms_at_level(p: DiagonalProjection, level: int) -> frozenset[str]:

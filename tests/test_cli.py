@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ftrees.boundary import PairTruncation, TreeTruncation
 from ftrees.cli import (
+    MAX_UNNF_LETTERS,
     export_dot,
     format_element,
     format_pair,
@@ -20,10 +21,10 @@ from ftrees.cli import (
     parse_projection,
 )
 from ftrees.elements import GroupElement
-from ftrees.generators import generator_ball
+from ftrees.generators import from_normal_form, generator_ball
 from ftrees.omega import ONE, DiagonalProjection, orbit
 
-from oracles import pattern_window
+from oracles import pattern_window, random_normal_form
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +134,22 @@ def test_nf_unnf_round_trip(capsys):
     assert code == 0
     code, out2, _ = run_cli(capsys, "nf", out.strip())
     assert (code, out2.strip()) == (0, "x0 x2")
+
+
+def test_nf_of_a_long_element_is_fast(capsys):
+    nf = random_normal_form(random.Random(3000), 3000)
+    text = format_element(from_normal_form(nf))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "nf", text)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out.strip()) == (0, str(nf))
+
+
+def test_unnf_letter_cap_exits_2(capsys):
+    word = " ".join(["x1 x0^-1"] * (MAX_UNNF_LETTERS // 2) + ["x0"])
+    code, out, err = run_cli(capsys, "unnf", word)
+    assert (code, out) == (2, "")
+    assert err == f"error: {MAX_UNNF_LETTERS + 1} letters exceed cap {MAX_UNNF_LETTERS}\n"
 
 
 def test_member_exit_codes(capsys):

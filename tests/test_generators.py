@@ -1,9 +1,18 @@
 import itertools
 import random
+import time
 
 import pytest
 
-from ftrees.elements import GroupElement, NotInF, inverse, multiply, validate_unitary
+from ftrees import generators
+from ftrees.elements import (
+    GroupElement,
+    NotInF,
+    _reduce_terms,
+    inverse,
+    multiply,
+    validate_unitary,
+)
 from ftrees.generators import (
     NormalFormWord,
     element_of_word,
@@ -15,6 +24,8 @@ from ftrees.generators import (
     parse_normal_form,
     to_normal_form,
 )
+
+from oracles import product_of_word, random_normal_form
 
 
 def test_gen_x_goldens():
@@ -160,11 +171,61 @@ def _valid_normal_forms(max_total: int, max_index: int):
                         continue
 
 
+def test_from_normal_form_is_the_letter_product_on_long_words():
+    rng = random.Random(901)
+    for letters in [300] + [rng.randint(0, 300) for _ in range(6)]:
+        nf = random_normal_form(rng, letters)
+        assert len(nf.letters()) == letters
+        terms = from_normal_form(nf).terms
+        assert terms == product_of_word(nf.letters()), nf
+        assert _reduce_terms(terms) == terms, nf
+        assert to_normal_form(GroupElement(terms)) == nf
+
+
+def test_normal_form_certificate_rejects_a_wrong_exponent(monkeypatch):
+    # raise one exponent of the range tree: the word stays a valid normal
+    # form, of another element, so only the certificate can catch it
+    read = generators._leaf_exponents
+    calls = itertools.count()
+
+    def perturbed(leaves):
+        leaves = list(leaves)
+        out = read(leaves)
+        if next(calls) % 2:
+            return out
+        extra = out[0] if out else len(leaves)
+        return tuple(sorted(out + (extra,)))
+
+    rng = random.Random(41)
+    ball = generator_ball(3)
+    elements = ball + [
+        GroupElement.from_terms(zip(_random_tree(rng, n), _random_tree(rng, n)))
+        for n in range(2, 40)
+    ]
+    monkeypatch.setattr(generators, "_leaf_exponents", perturbed)
+    for f in elements:
+        with pytest.raises(AssertionError):
+            to_normal_form(f)
+
+
+def test_normal_form_word_validation_is_linear():
+    n = 20000
+    start = time.perf_counter()
+    NormalFormWord(tuple(range(n)), tuple(range(n - 1)))
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValueError, match="x_3 occurs with both signs but x_4 with neither"):
+        NormalFormWord((0, 3, 5), (3,))
+
+
 def test_normal_form_uniqueness_round_trip():
+    # from_normal_form(nf) is the reduced letter product and
     # to_normal_form(from_normal_form(nf)) == nf for all short valid words
     count = 0
     for nf in _valid_normal_forms(6, 4):
-        back = to_normal_form(from_normal_form(nf))
+        f = from_normal_form(nf)
+        assert f.terms == product_of_word(nf.letters()), nf
+        assert _reduce_terms(f.terms) == f.terms, nf
+        back = to_normal_form(f)
         assert (back.positive, back.negative) == (nf.positive, nf.negative), nf
         count += 1
     assert count > 2000
@@ -207,5 +268,6 @@ def test_normal_form_of_random_words():
             for _ in range(rng.randint(0, 7))
         ]
         f = element_of_word(letters)
+        assert f.terms == product_of_word(letters)
         nf = to_normal_form(f)
         assert equals(from_normal_form(nf), f)
