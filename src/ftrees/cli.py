@@ -27,7 +27,7 @@ from .elements import (
 )
 from .generators import element_of_word, parse_generator_word, to_normal_form
 from .omega import DiagonalProjection
-from .words import word_from_str, word_to_str
+from .words import word_to_str
 
 MAX_GENERATOR_INDEX = 64
 # `unnf` multiplies its word out letter by letter, which is quadratic
@@ -53,11 +53,18 @@ def _json_object(text: str, *keys: str) -> dict:
     return data
 
 
+def _word(s: str) -> str:
+    """The word written `s`: "e" is the empty word.  Letters are left to
+    the one check of the value the word enters (`CompleteCode`,
+    `DiagonalProjection` or `TreeTruncation`)."""
+    return "" if s == "e" else s
+
+
 def _json_words(value: object, what: str) -> list[str]:
     """The words of a JSON list of word strings."""
     if not isinstance(value, list) or not all(isinstance(w, str) for w in value):
         raise ValueError(f"{what} must be a JSON list of words")
-    return [word_from_str(w) for w in value]
+    return [_word(w) for w in value]
 
 
 def parse_element(text: str, as_json: bool = False) -> GroupElement:
@@ -76,7 +83,7 @@ def parse_element(text: str, as_json: bool = False) -> GroupElement:
         a, sep, b = chunk.partition(":")
         if not sep:
             raise ValueError(f"term {chunk!r} is not of the form alpha:beta")
-        terms.append(Term(word_from_str(a.strip()), word_from_str(b.strip())))
+        terms.append(Term(_word(a.strip()), _word(b.strip())))
     return validate_unitary(terms)
 
 
@@ -103,7 +110,7 @@ def parse_projection(text: str, as_json: bool = False) -> DiagonalProjection:
         chunk = chunk.strip()
         if not (chunk.startswith("P[") and chunk.endswith("]")):
             raise ValueError(f"projection term {chunk!r} is not of the form P[word]")
-        words.append(word_from_str(chunk[2:-1]))
+        words.append(_word(chunk[2:-1]))
     return DiagonalProjection(words)
 
 

@@ -78,11 +78,18 @@ def _separation(
     tried: set[DiagonalProjection] = set()
     for g in _ball_walk(max_radius):
         p = act(g, ONE)
-        if p not in tried:
-            tried.add(p)
-            images = tuple(act(f, p) for f in fs)
-            if len(set(images)) == len(images):
-                return p, images
+        if p in tried:
+            continue
+        tried.add(p)
+        # insertion-ordered, so the images stay in family order
+        images: dict[DiagonalProjection, None] = {}
+        for f in fs:
+            q = act(f, p)
+            if q in images:
+                break  # a repeated image: p fails, skip the rest of the family
+            images[q] = None
+        else:
+            return p, tuple(images)
     raise SearchExhausted(max_radius)
 
 
@@ -92,9 +99,9 @@ def separating_point(
     """A projection p with f . p pairwise distinct over the family.
 
     Candidates are p = g . 1 for g along one breadth-first walk of the
-    generator ball of radius max_radius, each point tested once; the
-    first success in (radius, discovery) order is returned, so the result
-    is deterministic.
+    generator ball of radius max_radius, each point tested once and only
+    until its first repeated image; the first success in (radius,
+    discovery) order is returned, so the result is deterministic.
     """
     return _separation(fs, max_radius)[0]
 

@@ -308,6 +308,15 @@ def composition_agrees(h: GroupElement, u: GroupElement, w: GroupElement) -> boo
     return all(apply(ph, x) == apply(pu, apply(pw, x)) for x in points)
 
 
+def first_bad_letter(w: str) -> str | None:
+    """The first character of w that is neither "1" nor "2", read one
+    character at a time; None for a word."""
+    for ch in w:
+        if ch != "1" and ch != "2":
+            return ch
+    return None
+
+
 def is_antichain(words) -> bool:
     """No word is a prefix of another, repeats included: sorting puts a
     word right before its extensions and its repeats."""

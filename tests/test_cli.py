@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftrees import words
 from ftrees.boundary import PairTruncation, TreeTruncation
 from ftrees.cli import (
     MAX_UNNF_LETTERS,
@@ -347,6 +348,39 @@ def test_error_diagnostics(capsys):
     assert run_cli(capsys, "witness", json.dumps(
         {"depth": 1, "left": ["e", "1", "2"], "right": []}
     ))[0] == 2
+
+
+def test_a_bad_letter_exits_2_naming_it_in_every_parser(capsys):
+    x0_bad = [["11", "1"], ["13", "21"], ["2", "22"]]
+    pair = {"depth": 1, "left": ["e", "1", "2"], "right": ["e", "1", "2"]}
+    for argv in (
+        ["inv", "11:1 + 12:21 + 2:23"],
+        ["--json", "inv", json.dumps({"terms": x0_bad})],
+        ["trace", "P[11]+P[3]"],
+        ["--json", "trace", json.dumps({"support": ["11", "3"]})],
+        ["realizable", json.dumps({**pair, "left": ["e", "1", "3"]})],
+        ["realizable", json.dumps({**pair, "right": ["e", "3", "2"]})],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+        assert "invalid letter '3'" in err, argv
+
+
+def test_parse_element_checks_each_word_once(monkeypatch):
+    checked = []
+    check = words.check_word
+
+    def counting_check(w):
+        checked.append(w)
+        return check(w)
+
+    monkeypatch.setattr(words, "check_word", counting_check)
+    f = parse_element("11:1 + 12:21 + 2:22")
+    assert sorted(checked) == sorted(w for t in f.terms for w in t)
+    checked.clear()
+    parse_element(json.dumps({"terms": [["11", "1"], ["12", "21"], ["2", "22"]]}), as_json=True)
+    assert len(checked) == 6
 
 
 def test_json_of_the_wrong_shape_exits_2(capsys):

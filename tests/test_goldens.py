@@ -1,9 +1,13 @@
-"""Byte-exact CLI output of the boundary subcommands and of an orbit file.
+"""Byte-exact CLI output of the boundary subcommands, of an orbit file
+and of an independence certificate.
 
 `goldens.json` was recorded from the dense vertex-set implementation of
 the boundary module, before windows became intervals; the printed bytes
 and exit codes must not change.  Each window is rebuilt here from the
-vertex oracle, so the inputs do not depend on the code under test.
+vertex oracle, so the inputs do not depend on the code under test.  The
+`separate` certificate of the 53 elements of the radius-3 generator ball
+was recorded before the search stopped a candidate at its first repeated
+image.
 """
 
 import hashlib
@@ -80,3 +84,9 @@ def test_orbit_file_is_byte_identical(capsys, tmp_path):
     assert main(["orbit", "1", "--depth", "6", "--out", str(out)]) == 0
     assert capsys.readouterr().out == GOLDENS["orbit"]["stdout"]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDENS["orbit"]["sha256"]
+
+
+def test_separate_certificate_is_byte_identical(capsys):
+    case = GOLDENS["separate"]
+    assert main(case["argv"]) == case["code"]
+    assert capsys.readouterr().out == case["stdout"]

@@ -7,7 +7,7 @@ import pytest
 from ftrees import _packed, representation
 from ftrees.elements import GroupElement, inverse, multiply
 from ftrees.generators import _ball_walk, gen_x, generator_ball
-from ftrees.omega import ONE, DiagonalProjection, act
+from ftrees.omega import ONE, DiagonalProjection, act, h2_member
 from ftrees.representation import (
     FormalVector,
     IndependenceCertificate,
@@ -176,3 +176,33 @@ def test_certificate_acts_on_its_point_once_per_element(monkeypatch):
     assert sum(t in family and p == cert.point for t, p in calls) == len(fs)
     assert cert.images == tuple(act(f, cert.point) for f in fs)
     assert cert.verify()
+
+
+def test_a_candidate_stops_at_its_first_repeated_image(monkeypatch):
+    calls = []
+
+    def counting_act(f, p):
+        calls.append((f, p))
+        return act(f, p)
+
+    monkeypatch.setattr(representation, "act", counting_act)
+    h = GroupElement.from_terms(
+        [("111", "1"), ("112", "211"), ("121", "212"), ("122", "221"), ("2", "222")]
+    )
+    assert h == next(f for f in generator_ball(4) if not f.is_identity() and h2_member(f))
+    # e and h both fix 1, so the candidate 1 fails at the second element
+    fs = [GroupElement.identity(), h, *generator_ball(2)[1:]]
+    cert = independence_certificate(fs)
+    assert sum(p == ONE and any(f is g for g in fs) for f, p in calls) == 2
+    assert cert.point == _separating_point_by_radius(fs)
+    assert cert.verify()
+
+
+def test_separating_point_matches_radius_search_on_seeded_families():
+    rng = random.Random(10)
+    ball = generator_ball(3)
+    for _ in range(12):
+        fs = rng.sample(ball, rng.randint(20, 48))
+        p = separating_point(fs)
+        assert p == _separating_point_by_radius(fs)
+        assert len({act(f, p) for f in fs}) == len(fs)

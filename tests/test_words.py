@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from ftrees.dyadic import Dyadic
 from ftrees.words import (
     CompleteCode,
     Ordering,
+    check_word,
     common_refinement,
     is_prefix,
     kraft_sum,
@@ -15,7 +18,7 @@ from ftrees.words import (
     word_to_str,
 )
 
-from oracles import common_refinement_by_scan, is_antichain
+from oracles import common_refinement_by_scan, first_bad_letter, is_antichain
 
 words = st.text(alphabet="12", max_size=7)
 
@@ -164,3 +167,24 @@ def test_word_str_round_trip():
     assert word_from_str("121") == "121"
     with pytest.raises(ValueError):
         word_from_str("13")
+
+
+def test_check_word_matches_a_letter_by_letter_oracle():
+    rng = random.Random(12)
+    # spaces, newlines and digits that are not ASCII are letters too
+    pool = "1212121203e \n\t１٢"
+    cases = ["", " ", "\n", "１", "1 ", "\n1", "12１2", "13", "2221"]
+    cases += ["".join(rng.choice(pool) for _ in range(rng.randrange(12))) for _ in range(3000)]
+    valid = 0
+    for w in cases:
+        bad = first_bad_letter(w)
+        if bad is None:
+            valid += 1
+            assert check_word(w) == w
+        else:
+            with pytest.raises(ValueError) as info:
+                check_word(w)
+            assert str(info.value) == f"invalid letter {bad!r} in word {w!r}"
+    assert 100 < valid < len(cases) - 100
+    with pytest.raises(ValueError, match=r"^invalid letter '3' in word '13'$"):
+        check_word("13")
