@@ -7,70 +7,26 @@ and linear-independence certificates for the permutation representation.
 """
 
 from .boundary import (
-    PairTruncation,
-    TreeTruncation,
-    act_truncated,
-    embed,
-    is_realizable,
-    non_isolation_witness,
-    stabilizes,
-    window_requirement,
+    PairTruncation, TreeTruncation, act_truncated, embed, is_realizable, non_isolation_witness,
+    stabilizes, window_requirement,
 )
 from .dyadic import Dyadic
 from .elements import (
-    GroupElement,
-    NotInF,
-    NotUnitary,
-    Side,
-    TargetNotARefinement,
-    Term,
-    abelianization,
-    height,
-    in_commutator_subgroup,
-    inverse,
-    is_cyclic_order_preserving,
-    is_order_preserving,
-    multiply,
-    multiply_terms,
-    parity_split,
-    reduce,
-    refine,
-    validate_unitary,
+    GroupElement, NotInF, NotUnitary, Side, TargetNotARefinement, Term, abelianization, height,
+    in_commutator_subgroup, inverse, is_cyclic_order_preserving, is_order_preserving, multiply,
+    multiply_terms, parity_split, reduce, refine, validate_unitary,
 )
 from .generators import (
-    NormalFormWord,
-    equals,
-    from_normal_form,
-    gen_x,
-    generator_ball,
-    parse_normal_form,
+    NormalFormWord, equals, from_normal_form, gen_x, generator_ball, parse_normal_form,
     to_normal_form,
 )
 from .omega import (
-    ONE,
-    ZERO,
-    DiagonalProjection,
-    InternalSearchExhausted,
-    NotInOmega2,
-    act,
-    complement,
-    coset_invariant,
-    d_tau,
-    h2_member,
-    join,
-    meet,
-    omega2_member,
-    orbit,
-    orbit_levels,
-    realize,
+    ONE, ZERO, DiagonalProjection, InternalSearchExhausted, NotInOmega2, act, complement,
+    coset_invariant, d_tau, h2_member, join, meet, omega2_member, orbit, orbit_levels, realize,
     trace,
 )
 from .representation import (
-    FormalVector,
-    IndependenceCertificate,
-    SearchExhausted,
-    apply,
-    independence_certificate,
+    FormalVector, IndependenceCertificate, SearchExhausted, apply, independence_certificate,
     separating_point,
 )
 from .words import CompleteCode, Ordering, common_refinement, is_prefix, kraft_sum, lex_compare

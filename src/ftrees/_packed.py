@@ -5,7 +5,7 @@ the right.  A diagonal projection is a finite union of such intervals,
 stored as (n, ends): the flat sorted endpoints a0, b0, a1, b1, ... of
 its merged intervals [a, b) in units of 2^-n.  n is minimal (not every
 endpoint is even), so the form is canonical and hashable.  Words are
-made only at the edges: `pack` reads a support, `unpack` writes one.
+made only at the edges: `intervals` and `pack` read, `word` and `unpack` write.
 `round_out` coarsens a projection to the cells of a scale it meets.
 
 A term S_alpha S_beta* maps I(beta) affinely onto I(alpha), so an
@@ -22,6 +22,17 @@ from typing import Callable, Iterable
 
 _TO_BITS = str.maketrans("12", "01")
 _TO_WORD = str.maketrans("01", "12")
+
+
+def intervals(words: Iterable[str]) -> list[tuple[int, int]]:
+    """(length, value) of each word: I(w) is [v, v + 1) in units of 2^-length."""
+    return [(len(w), int(w.translate(_TO_BITS) or "0", 2)) for w in words]
+
+
+def word(n: int, v: int) -> str:
+    """The word of length n whose interval starts at v / 2^n."""
+    # the leading 1 keeps the n digits of v
+    return bin(v | 1 << n)[3:].translate(_TO_WORD)
 
 
 def _canonical(n: int, ends: list[int]) -> tuple[int, tuple[int, ...]]:
@@ -46,9 +57,9 @@ def pack(support: Iterable[str]) -> tuple[int, tuple[int, ...]]:
     ws = list(support)
     n = max(map(len, ws), default=0)
     ends: list[int] = []
-    for w in ws:
-        shift = n - len(w)
-        a = int(w.translate(_TO_BITS) or "0", 2) << shift
+    for m, v in intervals(ws):
+        shift = n - m
+        a = v << shift
         if ends and a < ends[-1]:
             raise ValueError(f"support is not an antichain: {ws}")
         if ends and ends[-1] == a:
@@ -67,8 +78,7 @@ def unpack(n: int, ends: tuple[int, ...]) -> tuple[str, ...]:
             k = (b - a).bit_length() - 1
             if a:
                 k = min(k, (a & -a).bit_length() - 1)
-            # the leading 1 keeps the n - k digits of the block index
-            out.append(bin((a >> k) | (1 << (n - k)))[3:].translate(_TO_WORD))
+            out.append(word(n - k, a >> k))
             a += 1 << k
     return tuple(out)
 
@@ -124,8 +134,9 @@ def combine(
 class PackedElement:
     """An element of F compiled to affine maps on interval endpoints.
 
-    `terms` are the (alpha, beta) pairs of an order-preserving element in
-    alpha order, hence also in beta order.  Acting at scale base + k,
+    `terms` are the (|alpha|, alpha value, |beta|, beta value) intervals
+    of an order-preserving element in alpha order, hence also in beta
+    order.  Acting at scale base + k,
     term t sends an endpoint e of I(beta) to (e << s) + (c << k) at scale
     base + k + height, where base is the longest beta and height the
     largest degree; the shifted tables are cached per k.
@@ -133,17 +144,16 @@ class PackedElement:
 
     __slots__ = ("base", "height", "_tables")
 
-    def __init__(self, terms: Iterable[tuple[str, str]]) -> None:
-        terms = list(terms)
-        base = self.base = max(len(b) for _, b in terms)
-        height = self.height = max(len(a) - len(b) for a, b in terms)
+    def __init__(self, terms: tuple[tuple[int, int, int, int], ...]) -> None:
+        base = self.base = max(t[2] for t in terms)
+        height = self.height = max(t[0] - t[2] for t in terms)
         table = []
-        for a, b in terms:
-            size = 1 << (base - len(b))
-            lo = int(b.translate(_TO_BITS) or "0", 2) * size
-            s = height - len(a) + len(b)
-            c = (int(a.translate(_TO_BITS) or "0", 2) << (base + height - len(a))) - (lo << s)
-            table.append((lo, lo + size, s, c, (len(a) - len(b)) % 2 == 0))
+        for la, va, lb, vb in terms:
+            size = 1 << (base - lb)
+            lo = vb * size
+            s = height - la + lb
+            c = (va << (base + height - la)) - (lo << s)
+            table.append((lo, lo + size, s, c, (la - lb) % 2 == 0))
         self._tables = {0: table}
 
     def act(self, n: int, ends: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:

@@ -124,7 +124,7 @@ class TreeTruncation:
         """The vertices in (length, lex) order: the frontier cells, left to
         right, below the parents of each level."""
         k = self.depth
-        levels = [[bin(c | 1 << k)[3:].translate(_packed._TO_WORD) for c in _cells(self.cells, k)]]
+        levels = [[_packed.word(k, c) for c in _cells(self.cells, k)]]
         while levels[-1] and levels[-1][0]:  # up to the root, if any
             levels.append(list(dict.fromkeys(v[:-1] for v in levels[-1])))
         return [v for level in reversed(levels) for v in level]
@@ -187,7 +187,7 @@ def window_requirement(f: GroupElement) -> int:
     h = height(f)
     if h == 0:
         return 0  # order preserving with all degrees zero: the identity
-    return max(max(len(t.beta) for t in f.terms), h + 1)
+    return max(max(q[2] for q in f._quads), h + 1)
 
 
 def act_truncated(f: GroupElement, pair: PairTruncation) -> PairTruncation:

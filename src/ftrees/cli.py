@@ -17,12 +17,7 @@ from typing import Sequence
 
 from . import boundary, omega, representation
 from .elements import (
-    GroupElement,
-    Term,
-    inverse,
-    is_cyclic_order_preserving,
-    is_order_preserving,
-    multiply,
+    GroupElement, Term, inverse, is_cyclic_order_preserving, is_order_preserving, multiply,
     validate_unitary,
 )
 from .generators import element_of_word, parse_generator_word, to_normal_form

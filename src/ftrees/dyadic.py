@@ -104,9 +104,6 @@ class Dyadic:
         a, b = self._cmp_key(other)
         return a >= b
 
-    def is_integer(self) -> bool:
-        return self.exponent == 0
-
     def scaled(self, e: int) -> int:
         """self * 2**e as an exact integer; raises if not integral."""
         if e < self.exponent:

@@ -4,8 +4,10 @@ A term (alpha, beta) stands for the partial isometry S_alpha S_beta*; a
 unitary finite sum of such terms is a bijection between two complete
 codes, i.e. a tree-pair diagram.  The canonical form is fully
 sibling-reduced and sorted by the alpha word, which makes equality the
-word problem.  Terms are checked once, by `validate_unitary`; what is
-built from checked elements is not checked again.
+word problem.  A term is stored as the integer intervals of its words
+(`words.Quad`), which products, inverses, F and T membership and normal
+forms work on; words are made only at the edges.  Terms are checked
+once, by `validate_unitary`; what is built from them is not rechecked.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import add
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from ._packed import PackedElement
-from .words import CompleteCode, _merge_walk, word_to_str
+from ._packed import PackedElement, intervals, word
+from .words import CompleteCode, Quad, _diagonal, _merge_walk, _tiling, word_to_str
 
 
 class NotUnitary(ValueError):
@@ -49,26 +52,25 @@ class Term(NamedTuple):
         return f"{word_to_str(self.alpha)}:{word_to_str(self.beta)}"
 
 
-def _reduce_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
-    """Exhaust the sibling-merge rule; the result is order independent.
+def _sorted(quads: Sequence[Quad], k: int) -> list[Quad]:
+    """`quads` in left-to-right (lex) order of side k: 0 alpha, 2 beta."""
+    top = max(q[k] for q in quads)
+    return sorted(quads, key=lambda q: q[k + 1] << (top - q[k]))
 
-    Terms (g1, d1) and (g2, d2) merge to (g, d).  In alpha-sorted order a
-    mergeable pair is always adjacent, so one stack pass suffices.
-    """
-    stack: list[Term] = []
-    for t in sorted(terms):
-        stack.append(t)
-        while len(stack) >= 2:
-            a, b = stack[-2], stack[-1]
-            if (
-                a.alpha.endswith("1")
-                and a.beta.endswith("1")
-                and b.alpha == a.alpha[:-1] + "2"
-                and b.beta == a.beta[:-1] + "2"
-            ):
-                stack[-2:] = [Term(a.alpha[:-1], a.beta[:-1])]
-            else:
+
+def _reduce_terms(quads: Iterable[Quad]) -> tuple[Quad, ...]:
+    """Exhaust the sibling-merge rule on alpha-sorted terms: (g1, d1) and
+    (g2, d2), values v and v + 1 with v even on both sides, merge to
+    (g, d).  A mergeable pair is adjacent, so one stack pass suffices."""
+    stack: list[Quad] = []
+    for la, va, lb, vb in quads:
+        while stack:
+            pa, pva, pb, pvb = stack[-1]
+            if va != pva + 1 or vb != pvb + 1 or pva & 1 or pvb & 1 or la != pa or lb != pb:
                 break
+            stack.pop()
+            la, va, lb, vb = la - 1, pva >> 1, lb - 1, pvb >> 1
+        stack.append((la, va, lb, vb))
     return tuple(stack)
 
 
@@ -76,11 +78,22 @@ def _reduce_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
 class GroupElement:
     """Canonical (reduced, alpha-sorted) unitary word sum.
 
-    Construct through :func:`validate_unitary` / :meth:`from_terms`; the
-    raw constructor trusts its input.
+    Each term is stored as its two intervals (`words.Quad`); `terms`, the
+    word form, is made on first use and kept.  Construct through
+    :func:`validate_unitary` / :meth:`from_terms`; the raw constructor
+    trusts its input.
     """
 
-    terms: tuple[Term, ...]
+    _quads: tuple[Quad, ...]
+
+    def __init__(self, terms: Iterable[tuple[str, str]]) -> None:
+        terms = self.__dict__["terms"] = tuple(terms)
+        alphas, betas = intervals(t[0] for t in terms), intervals(t[1] for t in terms)
+        self.__dict__["_quads"] = tuple(map(add, alphas, betas))
+
+    @cached_property
+    def terms(self) -> tuple[Term, ...]:
+        return tuple(Term(word(la, va), word(lb, vb)) for la, va, lb, vb in self._quads)
 
     @classmethod
     def from_terms(cls, pairs: Iterable[tuple[str, str]]) -> "GroupElement":
@@ -88,7 +101,7 @@ class GroupElement:
 
     @classmethod
     def identity(cls) -> "GroupElement":
-        return cls((Term("", ""),))
+        return _element(((0, 0, 0, 0),))
 
     def range_code(self) -> CompleteCode:
         return CompleteCode(t.alpha for t in self.terms)
@@ -97,12 +110,12 @@ class GroupElement:
         return CompleteCode(t.beta for t in self.terms)
 
     def is_identity(self) -> bool:
-        return self.terms == (Term("", ""),)
+        return self._quads == ((0, 0, 0, 0),)
 
     @cached_property
     def _interval_map(self) -> Optional[PackedElement]:
         """The interval map of `omega.act`, compiled once; None outside F."""
-        return PackedElement(self.terms) if is_order_preserving(self) else None
+        return PackedElement(self._quads) if is_order_preserving(self) else None
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return multiply(self, other)
@@ -117,26 +130,59 @@ class GroupElement:
         return f"GroupElement({self})"
 
 
+def _element(quads: tuple[Quad, ...]) -> GroupElement:
+    # trusted constructor for reduced, alpha-sorted intervals
+    f = object.__new__(GroupElement)
+    f.__dict__["_quads"] = quads
+    return f
+
+
 def validate_unitary(terms: Sequence[Term]) -> GroupElement:
     """Canonicalize a term list, checking the unitarity conditions.
 
     The sum is unitary iff the alpha words and the beta words each form a
     complete code (which checks every word); the lex pairing between the
-    codes is then a bijection.
+    codes is then a bijection.  Each word is read once, by `_tiling`.
     """
     if not terms:
         raise NotUnitary("empty term list (group elements are never zero)")
+    checked = []
     for side, words in (("range", [t.alpha for t in terms]), ("domain", [t.beta for t in terms])):
         try:
-            CompleteCode(words)
+            checked.append(_tiling(words))
         except ValueError as exc:
             raise NotUnitary(f"{side} side: {exc}") from exc
-    return GroupElement(_reduce_terms(terms))
+    (alphas, order), (betas, _) = checked
+    quads = _reduce_terms([alphas[i] + betas[i] for i in order])
+    f = _element(quads)
+    if len(quads) == len(terms):  # nothing merged: the input words are the terms
+        f.__dict__["terms"] = tuple(terms[i] for i in order)
+    return f
 
 
 def reduce(terms: Sequence[Term]) -> GroupElement:
     """Canonical element for an (possibly unreduced) unitary term list."""
     return validate_unitary(terms)
+
+
+def _refined(u: GroupElement, target: CompleteCode, side: Side) -> list[Quad]:
+    """The terms of `refine`, in the order of `target`."""
+    if side is Side.DOMAIN:
+        k, out = 2, _merge_walk(_sorted(u._quads, 2), _diagonal(target))
+    else:
+        k, out = 0, _merge_walk(_diagonal(target), u._quads)
+    if len(out) > len(target):
+        # the first piece that is no target word is a word of u
+        targets = set(intervals(target.words))
+        piece = next(q[k : k + 2] for q in out if q[k : k + 2] not in targets)
+        raise TargetNotARefinement(
+            f"{target} does not refine the {side.value} word {word_to_str(word(*piece))}"
+        )
+    return out
+
+
+def _words(quads: Iterable[Quad]) -> list[Term]:
+    return sorted(Term(word(la, va), word(lb, vb)) for la, va, lb, vb in quads)
 
 
 def refine(u: GroupElement, target: CompleteCode, side: Side) -> list[Term]:
@@ -145,18 +191,7 @@ def refine(u: GroupElement, target: CompleteCode, side: Side) -> list[Term]:
     Each term splits by appending the same suffix to both of its words,
     so every term degree is preserved.
     """
-    key = (lambda t: t.beta) if side is Side.DOMAIN else (lambda t: t.alpha)
-    terms = sorted(u.terms, key=key)
-    out: list[Term] = []
-    for i, j, piece in _merge_walk([key(t) for t in terms], target.words):
-        t = terms[i]
-        if len(piece) > len(target.words[j]):
-            raise TargetNotARefinement(
-                f"{target} does not refine the {side.value} word {word_to_str(piece)}"
-            )
-        s = piece[len(key(t)):]
-        out.append(Term(t.alpha + s, t.beta + s))
-    return sorted(out)
+    return _words(_refined(u, target, side))
 
 
 def multiply_terms(
@@ -169,39 +204,38 @@ def multiply_terms(
     :func:`multiply`, exposed so the intermediate term lists can be
     inspected (they are generally not sibling-reduced).
     """
+    if via is None:
+        return _words(_merge_walk(_sorted(u._quads, 2), w._quads))
     # refined to `via`, both middle codes are `via`: the walk pairs them one to one
-    us = sorted(u.terms if via is None else refine(u, via, Side.DOMAIN), key=lambda t: t.beta)
-    ws = w.terms if via is None else refine(w, via, Side.RANGE)
-    out = []
-    for i, j, piece in _merge_walk([t.beta for t in us], [t.alpha for t in ws]):
-        s, t = us[i], ws[j]
-        out.append(Term(s.alpha + piece[len(s.beta):], t.beta + piece[len(t.alpha):]))
-    return sorted(out)
+    return _words(_merge_walk(_refined(u, via, Side.DOMAIN), _refined(w, via, Side.RANGE)))
 
 
 def multiply(u: GroupElement, w: GroupElement) -> GroupElement:
     """Product uw in composition order: w applied first, then u."""
-    return GroupElement(_reduce_terms(multiply_terms(u, w)))
+    if is_order_preserving(u):  # beta order is alpha order, in and out
+        return _element(_reduce_terms(_merge_walk(u._quads, w._quads)))
+    return _element(_reduce_terms(_sorted(_merge_walk(_sorted(u._quads, 2), w._quads), 0)))
 
 
 def inverse(u: GroupElement) -> GroupElement:
     """Swap alpha and beta in every term; reducedness is preserved."""
-    return GroupElement(tuple(sorted(Term(t.beta, t.alpha) for t in u.terms)))
+    swapped = [(lb, vb, la, va) for la, va, lb, vb in u._quads]
+    return _element(tuple(swapped if is_order_preserving(u) else _sorted(swapped, 0)))
 
 
 def is_order_preserving(u: GroupElement) -> bool:
     """Membership in F: the bipartite diagram has no crossings, so in the
-    canonical alpha order of the terms the betas are sorted too."""
-    betas = [t.beta for t in u.terms]
-    return betas == sorted(betas)
+    canonical alpha order of the terms the betas are sorted too (a beta
+    starts at vb / 2^lb)."""
+    q = u._quads
+    return all(a[3] << b[2] < b[3] << a[2] for a, b in zip(q, q[1:]))
 
 
 def is_cyclic_order_preserving(u: GroupElement) -> bool:
     """Membership in T: order preserving up to rotation, so in the canonical
-    alpha order of the terms the betas are sorted once the least is rotated first."""
-    betas = [t.beta for t in u.terms]
-    first = betas.index(min(betas))
-    return betas[first:] + betas[:first] == sorted(betas)
+    alpha order of the terms the betas, read cyclically, step back at most once."""
+    q = u._quads
+    return sum(a[3] << b[2] > b[3] << a[2] for a, b in zip(q, q[1:] + q[:1])) <= 1
 
 
 def parity_split(u: GroupElement) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
@@ -217,7 +251,7 @@ def parity_split(u: GroupElement) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
 
 def height(u: GroupElement) -> int:
     """Max |degree| over the reduced terms (the Lipschitz exponent)."""
-    return max(abs(t.degree) for t in u.terms)
+    return max(abs(la - lb) for la, _, lb, _ in u._quads)
 
 
 def abelianization(u: GroupElement) -> tuple[int, int]:
@@ -228,8 +262,8 @@ def abelianization(u: GroupElement) -> tuple[int, int]:
     """
     if not is_order_preserving(u):
         raise NotInF("abelianization is defined on order-preserving elements")
-    first, last = u.terms[0], u.terms[-1]
-    return (-first.degree, -last.degree)
+    (la, _, lb, _), (ma, _, mb, _) = u._quads[0], u._quads[-1]
+    return (lb - la, mb - ma)
 
 
 def in_commutator_subgroup(u: GroupElement) -> bool:

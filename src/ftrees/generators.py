@@ -17,35 +17,22 @@ pair with the element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, itemgetter
 from typing import Iterable, Iterator
 
-from .elements import (
-    GroupElement,
-    NotInF,
-    Term,
-    inverse,
-    is_order_preserving,
-    multiply,
-)
+from .elements import GroupElement, NotInF, _element, inverse, is_order_preserving, multiply
 
 
 def gen_x(k: int) -> GroupElement:
-    """The canonical generator x_k (its terms are reduced and alpha sorted)."""
+    """The canonical generator x_k: the element of the normal form x_k."""
     if k < 0:
         raise ValueError("generator index must be >= 0")
-    prefix = "2" * k
-    terms = [Term("2" * j + "1", "2" * j + "1") for j in range(k)]
-    terms += [
-        Term(prefix + "11", prefix + "1"),
-        Term(prefix + "12", prefix + "21"),
-        Term(prefix + "2", prefix + "22"),
-    ]
-    return GroupElement(tuple(terms))
+    return from_normal_form(NormalFormWord((k,), ()))
 
 
 def equals(f: GroupElement, g: GroupElement) -> bool:
     """Word problem: canonical forms are identical."""
-    return f.terms == g.terms
+    return f == g
 
 
 @dataclass(frozen=True)
@@ -138,9 +125,9 @@ def _leaves_needed(counts: list[int]) -> int:
     return len(counts) + pending + 1
 
 
-def _tree_leaves(counts: list[int], n: int) -> list[str]:
-    """The n lex-sorted leaves of the tree whose leaf i has exponent
-    counts[i] (0 past the end), the inverse of `_leaf_exponents`.
+def _tree_leaves(counts: list[int], n: int) -> list[tuple[int, int]]:
+    """The n leaves, as intervals in lex order, of the tree whose leaf i
+    has exponent counts[i] (0 past the end); inverse to `_leaf_exponents`.
 
     A stack holds the right children still to be visited.  When it is
     empty, the next spine vertex 2^j opens: its leaf 2^j 1^(e+1) ends a
@@ -149,20 +136,23 @@ def _tree_leaves(counts: list[int], n: int) -> list[str]:
     pushed, the deepest last; on the spine that leaves out 2^(j+1), the
     next spine vertex.  The last leaf is the spine vertex itself.
     """
-    leaves: list[str] = []
-    stack: list[str] = []
-    spine = ""
-    for i in range(n - 1):
-        e = counts[i] if i < len(counts) else 0
+    leaves: list[tuple[int, int]] = []
+    stack: list[tuple[int, int]] = []
+    j = 0  # the spine vertex 2^j is (j, 2^j - 1)
+    for e in counts + [0] * (n - 1 - len(counts)):
         if stack:
-            cur = stack.pop()
-            leaves.append(cur + "1" * e)
-            stack.extend(cur + "1" * t + "2" for t in range(e))
+            m, v = stack.pop()
+            d = 1
         else:
-            leaves.append(spine + "1" * (e + 1))
-            stack.extend(spine + "1" * t + "2" for t in range(1, e + 1))
-            spine += "2"
-    leaves.append(spine)
+            m, v = j, (1 << j) - 1
+            j += 1
+            e += 1
+            d = 2
+        leaves.append((m + e, v << e))
+        while d <= e:
+            stack.append((m + d, (v << d) | 1))
+            d += 1
+    leaves.append((j, (1 << j) - 1))
     return leaves
 
 
@@ -173,22 +163,21 @@ def from_normal_form(nf: NormalFormWord) -> GroupElement:
     exponent-0 leaves.  A valid normal form gives a reduced pair."""
     pos, neg = _exponent_counts(nf.positive), _exponent_counts(nf.negative)
     n = max(_leaves_needed(pos), _leaves_needed(neg))
-    return GroupElement(tuple(map(Term, _tree_leaves(pos, n), _tree_leaves(neg, n))))
+    return _element(tuple(map(add, _tree_leaves(pos, n), _tree_leaves(neg, n))))
 
 
-def _leaf_exponents(leaves: Iterable[str]) -> tuple[int, ...]:
+def _leaf_exponents(leaves: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """Each index i repeated a_i times, a_i the exponent of leaf i.
 
-    Write leaf i as stem + "1"^r with the stem not ending in "1".  Its
-    exponent is the length r of the left path ending at the leaf, less
-    one when that path starts on the right side of the tree (the stem is
-    all "2"s), since the path may not reach the right side.
+    Write leaf i as stem + "1"^r, r its trailing zero bits.  Its exponent
+    is the length r of the left path ending at the leaf, less one when
+    that path starts on the right side of the tree (the stem is all "2"s,
+    all one bits), since the path may not reach the right side.
     """
     out: list[int] = []
-    for i, w in enumerate(leaves):
-        stem = w.rstrip("1")
-        r = len(w) - len(stem)
-        out += [i] * (r - 1 if r and "1" not in stem else r)
+    for i, (n, v) in enumerate(leaves):
+        r = (v & -v).bit_length() - 1 if v else n
+        out += [i] * (r - 1 if r and (v >> r) + 1 == 1 << (n - r) else r)
     return tuple(out)
 
 
@@ -207,10 +196,10 @@ def to_normal_form(f: GroupElement) -> NormalFormWord:
     if not is_order_preserving(f):
         raise NotInF("normal forms exist only for order-preserving elements")
     nf = NormalFormWord(
-        _leaf_exponents(t.alpha for t in f.terms),
-        _leaf_exponents(t.beta for t in f.terms),
+        _leaf_exponents(map(itemgetter(0, 1), f._quads)),
+        _leaf_exponents(map(itemgetter(2, 3), f._quads)),
     )
-    if from_normal_form(nf).terms != f.terms:
+    if from_normal_form(nf) != f:
         raise AssertionError(f"normal form {nf} does not reproduce {f}")
     return nf
 
@@ -231,15 +220,15 @@ def _ball_walk(radius: int) -> Iterator[GroupElement]:
     yielded lazily in breadth-first discovery order (deterministic)."""
     gens = [g for _, g in standard_generators()]
     frontier = [GroupElement.identity()]
-    seen = {frontier[0].terms}
+    seen = {frontier[0]}
     yield frontier[0]
     for _ in range(radius):
         nxt: list[GroupElement] = []
         for f in frontier:
             for g in gens:
                 h = multiply(f, g)
-                if h.terms not in seen:
-                    seen.add(h.terms)
+                if h not in seen:
+                    seen.add(h)
                     nxt.append(h)
                     yield h
         frontier = nxt

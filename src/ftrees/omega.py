@@ -165,7 +165,7 @@ def h2_member(f: GroupElement) -> bool:
     """
     if not is_order_preserving(f):
         raise NotInF("H_2 is a subgroup of F")
-    return all(t.degree % 2 == 0 for t in f.terms)
+    return all((la - lb) % 2 == 0 for la, _, lb, _ in f._quads)
 
 
 def coset_invariant(f: GroupElement) -> DiagonalProjection:

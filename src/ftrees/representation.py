@@ -49,9 +49,6 @@ class FormalVector:
     def basis(cls, p: DiagonalProjection) -> "FormalVector":
         return cls({p: Fraction(1)})
 
-    def as_dict(self) -> dict[DiagonalProjection, Fraction]:
-        return dict(self.coefficients)
-
     def __str__(self) -> str:
         if not self.coefficients:
             return "0"
@@ -73,6 +70,8 @@ def _separation(
     fs: Sequence[GroupElement], max_radius: int
 ) -> tuple[DiagonalProjection, tuple[DiagonalProjection, ...]]:
     """The separating point of `separating_point` and its images."""
+    if len(set(fs)) < len(fs):  # no point separates an element from itself
+        raise ValueError("certificate requires pairwise distinct elements")
     if any(f._interval_map is None for f in fs):  # compiles each f once, for `act`
         raise NotInF("separating points are defined for families in F")
     tried: set[DiagonalProjection] = set()
@@ -101,7 +100,8 @@ def separating_point(
     Candidates are p = g . 1 for g along one breadth-first walk of the
     generator ball of radius max_radius, each point tested once and only
     until its first repeated image; the first success in (radius,
-    discovery) order is returned, so the result is deterministic.
+    discovery) order is returned, so the result is deterministic.  A
+    family with a repeated element raises ValueError before any action.
     """
     return _separation(fs, max_radius)[0]
 
@@ -134,10 +134,5 @@ def independence_certificate(
     fs: Sequence[GroupElement], max_radius: int = 8
 ) -> IndependenceCertificate:
     """Certificate that pi_2 of the given distinct elements is independent."""
-    seen = set()
-    for f in fs:
-        if f.terms in seen:
-            raise ValueError("certificate requires pairwise distinct elements")
-        seen.add(f.terms)
     p, images = _separation(fs, max_radius)  # verify() recomputes the images
     return IndependenceCertificate(tuple(fs), p, images)

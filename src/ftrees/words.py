@@ -37,12 +37,6 @@ def word_to_str(w: str) -> str:
     return w if w else "e"
 
 
-def word_from_str(s: str) -> str:
-    if s == "e":
-        return ""
-    return check_word(s)
-
-
 def is_prefix(u: str, v: str) -> bool:
     """True iff u is an initial segment of v (the empty word prefixes all)."""
     return v.startswith(u)
@@ -69,22 +63,39 @@ def kraft_sum(words: Iterable[str]) -> Dyadic:
     return Dyadic(sum(1 << (top - n) for n in lengths), top)
 
 
+def _tiling(words: Sequence[str]) -> tuple[list[tuple[int, int]], list[int]]:
+    """The words' intervals (`_packed.intervals`) and their positions in
+    lex order, which puts a word before its extensions; raises ValueError
+    unless each interval starts where the one before ends.  One starting
+    earlier (a repeat or an extension) wins over a gap."""
+    ints = _packed.intervals(map(check_word, words))
+    order = sorted(range(len(words)), key=words.__getitem__)
+    m, e = 0, 0  # the previous interval ends at e / 2^m
+    gap = False
+    for i in order:
+        n, v = ints[i]
+        a, b = v << m, e << n  # its start and that end, at one scale
+        if a != b:
+            if a < b:
+                raise ValueError(f"not an antichain: {tuple(sorted(words))}")
+            gap = True
+        m, e = n, v + 1
+    if gap or e != 1 << m:
+        ws = tuple(sorted(words))
+        raise ValueError(f"Kraft sum of {ws} is {kraft_sum(ws)}, not 1")
+    return ints, order
+
+
 @dataclass(frozen=True)
 class CompleteCode:
     """A complete prefix code: lex-sorted words whose intervals tile [0, 1]
-    (an antichain with Kraft sum 1), checked once by `_packed.pack`."""
+    (an antichain with Kraft sum 1), checked once by `_tiling`."""
 
     words: tuple[str, ...]
 
     def __init__(self, words: Iterable[str]) -> None:
-        ws = tuple(sorted(map(check_word, words)))
-        try:
-            tiles = _packed.pack(ws) == (0, (0, 1))
-        except ValueError:
-            raise ValueError(f"not an antichain: {ws}") from None
-        if not tiles:
-            raise ValueError(f"Kraft sum of {ws} is {kraft_sum(ws)}, not 1")
-        object.__setattr__(self, "words", ws)
+        ws = tuple(words)
+        object.__setattr__(self, "words", tuple(ws[i] for i in _tiling(ws)[1]))
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.words)
@@ -96,11 +107,9 @@ class CompleteCode:
         return w in self.words
 
     def refines(self, other: "CompleteCode") -> bool:
-        """True iff every word here extends some word of `other`."""
-        return all(
-            len(piece) == len(self.words[i])
-            for i, _, piece in _merge_walk(self.words, other.words)
-        )
+        """True iff every word here extends some word of `other`: then the
+        words here are the pieces of the merge walk."""
+        return len(_merge_walk(_diagonal(self), _diagonal(other))) == len(self)
 
     def __str__(self) -> str:
         return "{" + ", ".join(word_to_str(w) for w in self.words) + "}"
@@ -110,34 +119,49 @@ def uniform_code(k: int) -> CompleteCode:
     """All 2^k words of length k."""
     if k < 0:
         raise ValueError("length must be >= 0")
-    words = [""]
-    for _ in range(k):
-        words = [w + ch for w in words for ch in ALPHABET]
-    return CompleteCode(words)
+    return CompleteCode(_packed.word(k, v) for v in range(1 << k))
 
 
-def _merge_walk(a: Sequence[str], b: Sequence[str]) -> Iterator[tuple[int, int, str]]:
-    """(i, j, piece) for the pieces of the common refinement of two
-    lex-sorted complete codes, in lex order; a[i] and b[j] are the words
-    that contain the piece.
+# A term S_alpha S_beta* as the intervals (|alpha|, value, |beta|, value)
+# of its words (`_packed.intervals`); it maps I(beta) onto I(alpha).
+Quad = tuple[int, int, int, int]
 
-    The current cylinders of a and b start at the same point, so one
-    current word is a prefix of the other, and the longer one is the next
-    piece.  Its side always advances.  The other side advances too when
-    the extra suffix holds no "1": then both cylinders end at the same
-    point.
+
+def _diagonal(code: CompleteCode) -> list[Quad]:
+    """The identity map of a code: its terms (w, w)."""
+    return [q * 2 for q in _packed.intervals(code.words)]
+
+
+def _merge_walk(a: Sequence[Quad], b: Sequence[Quad]) -> list[Quad]:
+    """The unreduced product ab, a in beta order and b in alpha order: one
+    term per piece of the common refinement of the two middle codes.
+
+    The current intervals start together, so one contains the other and
+    the smaller is the next piece; the other term carries it by its
+    suffix, the low bits of its value.  Both sides advance when the two
+    intervals end together.  On diagonal terms the walk is the common
+    refinement of two codes.
     """
+    out = []
     i = j = 0
-    while i < len(a) and j < len(b):
-        u, v = a[i], b[j]
-        a_longer = len(u) >= len(v)
-        piece, other = (u, v) if a_longer else (v, u)
-        yield i, j, piece
-        same_end = "1" not in piece[len(other):]
-        i += a_longer or same_end
-        j += not a_longer or same_end
+    while i < len(a):
+        la, va, lb, vb = a[i]
+        ma, mva, mb, mvb = b[j]
+        if lb >= ma:
+            t = lb - ma
+            out.append((la, va, mb + t, vb + ((mvb - mva) << t)))
+            i += 1
+            j += (vb + 1) == (mva + 1) << t
+        else:
+            s = ma - lb
+            out.append((la + s, mva + ((va - vb) << s), mb, mvb))
+            j += 1
+            i += (mva + 1) == (vb + 1) << s
+    return out
 
 
 def common_refinement(a: CompleteCode, b: CompleteCode) -> CompleteCode:
     """Coarsest code refining both inputs: the pieces of the merge walk."""
-    return CompleteCode(w for _, _, w in _merge_walk(a.words, b.words))
+    return CompleteCode(
+        _packed.word(n, v) for n, v, _, _ in _merge_walk(_diagonal(a), _diagonal(b))
+    )

@@ -24,7 +24,7 @@ from fractions import Fraction
 from ftrees.elements import GroupElement, Side, TargetNotARefinement, Term
 from ftrees.generators import NormalFormWord
 from ftrees.omega import DiagonalProjection
-from ftrees.words import CompleteCode, word_to_str
+from ftrees.words import CompleteCode, check_word, word_to_str
 
 
 def interval_of_word(w: str) -> tuple[Fraction, Fraction]:
@@ -306,6 +306,14 @@ def composition_agrees(h: GroupElement, u: GroupElement, w: GroupElement) -> boo
     cuts = sorted(cuts)
     points = [x for a, b in zip(cuts, cuts[1:]) for x in (a, (a + b) / 2)]
     return all(apply(ph, x) == apply(pu, apply(pw, x)) for x in points)
+
+
+def word_from_str(s: str) -> str:
+    """The word written `s`, "e" for the empty word: the checking inverse
+    of `word_to_str`."""
+    if s == "e":
+        return ""
+    return check_word(s)
 
 
 def first_bad_letter(w: str) -> str | None:

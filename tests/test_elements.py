@@ -23,7 +23,7 @@ from ftrees.elements import (
     refine,
     validate_unitary,
 )
-from ftrees.generators import gen_x, generator_ball
+from ftrees.generators import element_of_word, from_normal_form, gen_x, generator_ball
 from ftrees.words import CompleteCode, kraft_sum, uniform_code
 
 from oracles import (
@@ -31,10 +31,14 @@ from oracles import (
     compose_values,
     composition_agrees,
     eval_element,
+    first_bad_letter,
     is_antichain,
+    merge_siblings,
     multiply_terms_by_match,
     pl_equal,
     position_map,
+    product_of_word,
+    random_normal_form,
     refine_by_scan,
 )
 
@@ -238,6 +242,85 @@ def test_validate_unitary_matches_code_oracles():
             )
             assert refine_by_scan(got, CompleteCode(alphas), Side.RANGE) == sorted(terms)
     assert min(seen.values()) >= 100, seen
+
+
+def unitary_message(terms: list[Term]) -> str | None:
+    """The oracle: the exact message that rejects a term list, if any.
+    The range side is read first; on a side, a bad letter (the first word
+    in input order) comes before a prefix pair, and that before the Kraft
+    sum, summed here as a fraction."""
+    if not terms:
+        return "empty term list (group elements are never zero)"
+    for side, words in (("range", [t.alpha for t in terms]), ("domain", [t.beta for t in terms])):
+        bad = [(w, first_bad_letter(w)) for w in words if first_bad_letter(w) is not None]
+        ws = tuple(sorted(words))
+        if bad:
+            return f"{side} side: invalid letter {bad[0][1]!r} in word {bad[0][0]!r}"
+        if not is_antichain(words):
+            return f"{side} side: not an antichain: {ws}"
+        total = sum(Fraction(1, 2 ** len(w)) for w in words)
+        if total != 1:
+            return f"{side} side: Kraft sum of {ws} is {total}, not 1"
+    return None
+
+
+def test_validate_unitary_messages_match_the_oracle_byte_for_byte():
+    rng = random.Random(83)
+    cases = [[], [Term("1", "1"), Term("1", "2")], [Term("11", "x"), Term("3", "1")]]
+    for _ in range(800):
+        terms = broken_term_list(rng)
+        if rng.random() < 0.2:
+            # a bad letter on each side, or an overlap after a gap
+            i = rng.randrange(len(terms))
+            t = terms[i]
+            terms[i] = Term(t.alpha + "x", t.beta + "0") if rng.random() < 0.5 else Term("1", t.beta)
+        cases.append(terms)
+    kinds = set()
+    for terms in cases:
+        want = unitary_message(terms)
+        if want is None:
+            assert validate_unitary(terms).terms == merge_siblings(terms)
+            continue
+        with pytest.raises(NotUnitary) as info:
+            validate_unitary(terms)
+        assert str(info.value) == want
+        kind = next(k for k in ("empty", "letter", "antichain", "Kraft") if k in want)
+        kinds.add((want.split()[0], kind))
+    # the empty list, and each kind of rejection on each side
+    assert len(kinds) == 7, kinds
+
+
+def test_products_of_v_elements_are_the_merged_dictionary_match():
+    pairs = random_pairs(14, 300)
+    outside_f = sum(position_map(u) != sorted(position_map(u)) for u, _ in pairs)
+    assert outside_f >= 100
+    for u, w in pairs:
+        prod = multiply(u, w)
+        assert prod.terms == merge_siblings(multiply_terms_by_match(u, w))
+        # the inverse swaps the words of each term, alpha-sorted
+        assert inverse(u).terms == tuple(sorted(Term(b, a) for a, b in u.terms))
+        assert multiply(prod, inverse(w)) == u
+
+
+def test_equal_elements_are_equal_and_hash_equal_however_built():
+    rng = random.Random(84)
+    for _ in range(60):
+        nf = random_normal_form(rng, rng.randint(0, 24))
+        words = product_of_word(nf.letters())
+        x = gen_x(rng.randint(0, 4))
+        finer = CompleteCode(
+            common_refinement_by_scan(tuple(t.alpha for t in words), uniform_code(3).words)
+        )
+        built = [
+            from_normal_form(nf),
+            GroupElement(words),
+            validate_unitary(refine_by_scan(GroupElement(words), finer, Side.RANGE)),
+            element_of_word(nf.letters()),
+            multiply(multiply(from_normal_form(nf), x), inverse(x)),
+        ]
+        assert all(f == built[0] and hash(f) == hash(built[0]) for f in built), nf
+        assert len(set(built)) == 1
+        assert all(f.terms == words for f in built)
 
 
 def test_f_and_t_membership_match_the_position_map():

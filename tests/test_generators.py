@@ -8,7 +8,6 @@ from ftrees import generators
 from ftrees.elements import (
     GroupElement,
     NotInF,
-    _reduce_terms,
     inverse,
     multiply,
     validate_unitary,
@@ -25,7 +24,7 @@ from ftrees.generators import (
     to_normal_form,
 )
 
-from oracles import product_of_word, random_normal_form
+from oracles import generator_terms, merge_siblings, product_of_word, random_normal_form
 
 
 def test_gen_x_goldens():
@@ -178,7 +177,7 @@ def test_from_normal_form_is_the_letter_product_on_long_words():
         assert len(nf.letters()) == letters
         terms = from_normal_form(nf).terms
         assert terms == product_of_word(nf.letters()), nf
-        assert _reduce_terms(terms) == terms, nf
+        assert merge_siblings(terms) == terms, nf
         assert to_normal_form(GroupElement(terms)) == nf
 
 
@@ -224,7 +223,7 @@ def test_normal_form_uniqueness_round_trip():
     for nf in _valid_normal_forms(6, 4):
         f = from_normal_form(nf)
         assert f.terms == product_of_word(nf.letters()), nf
-        assert _reduce_terms(f.terms) == f.terms, nf
+        assert merge_siblings(f.terms) == f.terms, nf
         back = to_normal_form(f)
         assert (back.positive, back.negative) == (nf.positive, nf.negative), nf
         count += 1
@@ -258,6 +257,22 @@ def test_parse_generator_word_loose():
     assert letters == [(1, 1), (0, 1), (0, -1)]
     assert equals(element_of_word(letters), gen_x(1))
     assert element_of_word([]).is_identity()
+
+
+def test_generators_match_their_closed_form():
+    for k in range(65):
+        assert gen_x(k).terms == generator_terms(k), k
+        assert inverse(gen_x(k)).terms == generator_terms(k, -1), k
+
+
+def test_long_words_multiply_out_as_the_letter_product():
+    rng = random.Random(10)
+    for _ in range(30):
+        letters = [(rng.randint(0, 8), rng.choice((1, -1))) for _ in range(rng.randint(0, 40))]
+        f = element_of_word(letters)
+        assert f.terms == product_of_word(letters)
+        assert f == GroupElement(product_of_word(letters))
+        assert to_normal_form(f) == to_normal_form(GroupElement(f.terms))
 
 
 def test_normal_form_of_random_words():

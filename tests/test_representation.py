@@ -91,10 +91,24 @@ def test_separating_point_matches_radius_search():
 
 
 def test_search_exhausted_reported():
+    # an H2 element moved deep into I(2222), the identity elsewhere: it
+    # fixes every point of the radius-1 ball, whose atoms are far coarser
+    h = [("111", "1"), ("112", "211"), ("121", "212"), ("122", "221"), ("2", "222")]
+    g = GroupElement.from_terms(
+        [(w, w) for w in ("1", "21", "221", "2221")] + [("2222" + a, "2222" + b) for a, b in h]
+    )
     with pytest.raises(SearchExhausted) as info:
-        # identical elements can never be separated
-        separating_point([gen_x(0), gen_x(0)], max_radius=1)
+        separating_point([GroupElement.identity(), g], max_radius=1)
     assert info.value.radius == 1
+
+
+def test_a_repeated_element_is_rejected_before_any_action(monkeypatch):
+    calls = []
+    monkeypatch.setattr(representation, "act", lambda f, p: calls.append(f) or act(f, p))
+    for search in (separating_point, independence_certificate):
+        with pytest.raises(ValueError, match="^certificate requires pairwise distinct elements$"):
+            search([gen_x(0), gen_x(1), gen_x(0)], max_radius=8)
+    assert calls == []
 
 
 def test_certificate_ball1_and_trivial():

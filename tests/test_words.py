@@ -14,11 +14,10 @@ from ftrees.words import (
     kraft_sum,
     lex_compare,
     uniform_code,
-    word_from_str,
     word_to_str,
 )
 
-from oracles import common_refinement_by_scan, first_bad_letter, is_antichain
+from oracles import common_refinement_by_scan, first_bad_letter, is_antichain, word_from_str
 
 words = st.text(alphabet="12", max_size=7)
 
