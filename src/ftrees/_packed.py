@@ -42,6 +42,8 @@ def _canonical(n: int, ends: list[int]) -> tuple[int, tuple[int, ...]]:
     acc = 0
     for e in ends:
         acc |= e
+    if acc & 1:
+        return n, tuple(ends)
     z = (acc & -acc).bit_length() - 1  # the trailing zero bits all share
     return n - z, tuple([e >> z for e in ends])
 
@@ -160,7 +162,8 @@ class PackedElement:
         """Canonical (n, ends) of (this element) . (the projection).
 
         Even terms map p on I(beta) onto I(alpha), odd terms 1 - p; the
-        images arrive in order, so touching ones merge as they come.
+        images arrive in order.  The intervals of p and of 1 - p never
+        touch, so only a term's first image can touch the one before it.
         """
         k = n - self.base
         if k < 0:
@@ -179,16 +182,20 @@ class PackedElement:
             src = ends if even else comp
             j = bisect_right(src, lo) & -2
             last = len(src)
-            while j < last:
-                a, b = src[j], src[j + 1]
-                if a >= hi:
-                    break
-                a = ((a if a > lo else lo) << s) + c
-                b = ((b if b < hi else hi) << s) + c
-                if out and out[-1] == a:
-                    out[-1] = b
-                else:
-                    out.append(a)
-                    out.append(b)
+            if j == last or src[j] >= hi:
+                continue
+            a = src[j]
+            a = ((a if a > lo else lo) << s) + c
+            if out and out[-1] == a:
+                out.pop()
+            else:
+                out.append(a)
+            # an end and the next start, both inside I(beta): no clipping
+            j += 1
+            while j + 1 < last and src[j + 1] < hi:
+                out.append((src[j] << s) + c)
+                out.append((src[j + 1] << s) + c)
                 j += 2
+            b = src[j]
+            out.append(((b if b < hi else hi) << s) + c)
         return _canonical(self.base + k + self.height, out)

@@ -17,6 +17,7 @@ pair with the element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import add, itemgetter
 from typing import Iterable, Iterator
 
@@ -204,21 +205,22 @@ def to_normal_form(f: GroupElement) -> NormalFormWord:
     return nf
 
 
-def standard_generators() -> list[tuple[str, GroupElement]]:
-    """x0, x0^-1, x1, x1^-1 with display names, in canonical order."""
+@cache
+def _generators() -> tuple[tuple[str, GroupElement], ...]:
     x0, x1 = gen_x(0), gen_x(1)
-    return [
-        ("x0", x0),
-        ("x0^-1", inverse(x0)),
-        ("x1", x1),
-        ("x1^-1", inverse(x1)),
-    ]
+    return (("x0", x0), ("x0^-1", inverse(x0)), ("x1", x1), ("x1^-1", inverse(x1)))
+
+
+def standard_generators() -> list[tuple[str, GroupElement]]:
+    """x0, x0^-1, x1, x1^-1 with display names, in canonical order: a new
+    list of elements built once per process, so each compiles once."""
+    return list(_generators())
 
 
 def _ball_walk(radius: int) -> Iterator[GroupElement]:
     """Distinct elements of word length <= radius over x0^+-1, x1^+-1,
     yielded lazily in breadth-first discovery order (deterministic)."""
-    gens = [g for _, g in standard_generators()]
+    gens = [g for _, g in _generators()]
     frontier = [GroupElement.identity()]
     seen = {frontier[0]}
     yield frontier[0]

@@ -34,7 +34,7 @@ from .elements import (
     multiply,  # noqa: F401 -- bench/test_bench.py checks its tracer rebinds omega.multiply
     validate_unitary,
 )
-from .generators import standard_generators
+from .generators import _generators
 from .words import check_word
 
 __all__ = [
@@ -110,8 +110,7 @@ class DiagonalProjection:
 def _wrap(packed: tuple[int, tuple[int, ...]]) -> DiagonalProjection:
     # trusted constructor for an (n, ends) already in canonical form
     p = object.__new__(DiagonalProjection)
-    object.__setattr__(p, "n", packed[0])
-    object.__setattr__(p, "ends", packed[1])
+    p.__dict__["n"], p.__dict__["ends"] = packed
     return p
 
 
@@ -299,10 +298,11 @@ class OrbitRun:
 
 
 def orbit_levels(start: DiagonalProjection, depth: int) -> OrbitRun:
-    """BFS under x0^+-1, x1^+-1 with discovery depths and timing."""
+    """BFS under x0^+-1, x1^+-1 with discovery depths and timing; the
+    generators are built and compiled once per process, not per call."""
     if omega2_member(start) is None:
         raise NotInOmega2(f"orbit start {start} is not in Omega_2")
-    gens = [g._interval_map for _, g in standard_generators()]
+    gens = [g._interval_map for _, g in _generators()]
     frontier = [(start.n, start.ends)]
     seen = {frontier[0]: 0}
     actions = 0

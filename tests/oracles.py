@@ -149,16 +149,20 @@ def _transport(support, beta: str, alpha: str) -> list[str]:
     return out
 
 
-def act_by_transport(f: GroupElement, p: DiagonalProjection) -> DiagonalProjection:
-    """f . p = f_0 p f_0* + f_1 (1 - p) f_1* by moving support words: each
+def term_images(f: GroupElement, p: DiagonalProjection) -> list[list[str]]:
+    """The words each term of f carries p to, in alpha order: an
     even-degree term re-roots the words of p under its beta at its alpha,
-    each odd-degree term those of 1 - p."""
+    an odd-degree term those of 1 - p."""
     comp = complement_by_paths(p).support
-    out: list[str] = []
-    for t in f.terms:
-        odd = (len(t.alpha) - len(t.beta)) % 2
-        out += _transport(comp if odd else p.support, t.beta, t.alpha)
-    return DiagonalProjection(out)
+    return [
+        _transport(comp if (len(t.alpha) - len(t.beta)) % 2 else p.support, t.beta, t.alpha)
+        for t in sorted(f.terms, key=lambda t: interval_of_word(t.alpha))
+    ]
+
+
+def act_by_transport(f: GroupElement, p: DiagonalProjection) -> DiagonalProjection:
+    """f . p = f_0 p f_0* + f_1 (1 - p) f_1* by moving support words."""
+    return DiagonalProjection([w for image in term_images(f, p) for w in image])
 
 
 def support_vertices(support, k: int) -> frozenset[str]:

@@ -1,11 +1,13 @@
+import dataclasses
 import operator
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from ftrees import _packed
+from ftrees import _packed, omega
 from ftrees.dyadic import Dyadic
 from ftrees.elements import GroupElement, NotInF, height, inverse, multiply, parity_split
 from ftrees.generators import gen_x, generator_ball, standard_generators
@@ -37,6 +39,7 @@ from oracles import (
     interval_of_word,
     measure,
     region,
+    term_images,
     witnesses_orbit_point,
 )
 
@@ -374,6 +377,108 @@ def test_orbit_from_deep_start():
     got = orbit_levels(start, 3).projections()
     assert time.perf_counter() - t0 < 1.0
     assert got == naive_orbit(start, 3)
+
+
+def test_orbit_sphere_sizes():
+    # the spheres of the Schreier graph of F/H_2 under x0^+-1, x1^+-1
+    run = orbit_levels(ONE, 10)
+    sizes = Counter(run.depths.values())
+    assert [sizes[d] for d in range(11)] == [
+        1, 4, 10, 27, 76, 197, 522, 1364, 3515, 8999, 23005
+    ]
+    assert len(run.depths) == 37720
+    # four actions on each point found at depths 0-9
+    assert run.action_evaluations == 58860 == 4 * (37720 - 23005)
+
+
+def test_standard_generators_are_built_once():
+    first, second = standard_generators(), standard_generators()
+    assert first is not second
+    assert [name for name, _ in first] == ["x0", "x0^-1", "x1", "x1^-1"]
+    assert all(f is g for (_, f), (_, g) in zip(first, second))
+    first.clear()
+    assert standard_generators() == second
+
+
+def test_warm_orbit_levels_compiles_nothing(monkeypatch):
+    orbit_levels(ONE, 1)
+    built = []
+    compile_terms = _packed.PackedElement.__init__
+
+    def counting_init(self, terms):
+        built.append(terms)
+        compile_terms(self, terms)
+
+    monkeypatch.setattr(_packed.PackedElement, "__init__", counting_init)
+    assert orbit_levels(ONE, 3).action_evaluations == 4 * (1 + 4 + 10)
+    assert orbit_levels(DiagonalProjection(["1" * 14 + "2", "222"]), 2).depths
+    assert built == []
+
+
+def touches_at_a_term_boundary(f: GroupElement, p: DiagonalProjection) -> bool:
+    """Whether the image of some term of f starts where the image of the
+    term before it ends."""
+    ends = [
+        [interval_of_word(w) for w in image] for image in term_images(f, p)
+    ]
+    return any(
+        u and v and max(hi for _, hi in u) == min(lo for lo, _ in v)
+        for u, v in zip(ends, ends[1:])
+    )
+
+
+def test_packed_act_merges_and_shifts_like_the_oracle(monkeypatch):
+    rng = random.Random(16)
+    shifts = []
+    canonical = _packed._canonical
+
+    def recording(n, ends):
+        shifts.append(bool(ends) and not any(e % 2 for e in ends))
+        return canonical(n, ends)
+
+    monkeypatch.setattr(_packed, "_canonical", recording)
+    elements = generator_ball(3) + [random_tree_pair(rng, rng.randint(2, 16)) for _ in range(60)]
+    seen = Counter()
+    for f in elements:
+        g = f._interval_map
+        for _ in range(5):
+            p = DiagonalProjection(random_antichain(rng, rng.randint(1, 8)))
+            want = act_by_transport(f, p)
+            shifts.clear()
+            assert g.act(p.n, p.ends) == (want.n, want.ends)
+            seen["touch" if touches_at_a_term_boundary(f, p) else "apart"] += 1
+            seen["shift" if shifts[0] else "odd"] += 1
+    # every path of the kernel ran: merges at a term's first image, and
+    # images already canonical as well as ones that needed a shift
+    assert min(seen[k] for k in ("touch", "apart", "shift", "odd")) >= 20
+
+
+def test_canonical_shifts_only_without_an_odd_endpoint():
+    assert _packed._canonical(4, [3, 8]) == (4, (3, 8))
+    assert _packed._canonical(4, [2, 6]) == (3, (1, 3))
+    assert _packed._canonical(4, [4, 8, 12, 16]) == (2, (1, 2, 3, 4))
+    assert _packed._canonical(4, [0, 16]) == (0, (0, 1))
+    assert _packed._canonical(7, []) == (0, ())
+
+
+def test_wrapped_projection_is_the_constructed_one():
+    rng = random.Random(17)
+    for _ in range(200):
+        p = DiagonalProjection(random_antichain(rng, rng.randint(0, 10)))
+        q = omega._wrap((p.n, p.ends))
+        assert type(q) is DiagonalProjection
+        assert str(q) == str(p)
+        assert q == p and hash(q) == hash(p) and len({p, q}) == 1
+        assert q.support == p.support
+        assert DiagonalProjection(q.support) == q
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.n = 0
+    f = random_tree_pair(rng, 9)
+    for p in orbit(ONE, 2):
+        image = act(f, p)  # made by _wrap
+        fresh = DiagonalProjection(act_by_transport(f, p).support)
+        assert image == fresh and hash(image) == hash(fresh)
+        assert image.support == fresh.support and str(image) == str(fresh)
 
 
 def test_act_and_complement_match_transport_oracle():
