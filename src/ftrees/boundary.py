@@ -71,8 +71,10 @@ class TreeTruncation:
         if depth < 0:
             raise MalformedPair("depth must be >= 0")
         # the set is the prefix closure of its depth-k vertices; checked
-        # locally, in time linear in the input
-        for v in vs:
+        # locally, vertex by vertex in sorted order, so that a window with
+        # several faults reports the same one under any hash seed
+        ordered = sorted(vs)
+        for v in ordered:
             if len(v) > depth:
                 raise MalformedPair(f"vertex {v!r} deeper than {depth}")
             if v and v[:-1] not in vs:
@@ -80,7 +82,7 @@ class TreeTruncation:
             if len(v) < depth and v + "1" not in vs and v + "2" not in vs:
                 raise MalformedPair(f"vertex {v!r} is a leaf above the cut depth")
         object.__setattr__(self, "depth", depth)
-        frontier = sorted(v for v in vs if len(v) == depth)
+        frontier = [v for v in ordered if len(v) == depth]
         object.__setattr__(self, "cells", _wrap(_packed.pack(frontier)))
 
     @classmethod

@@ -13,14 +13,14 @@ import functools
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import boundary, omega, representation
 from .elements import (
     GroupElement, Term, inverse, is_cyclic_order_preserving, is_order_preserving, multiply,
     validate_unitary,
 )
-from .generators import element_of_word, parse_generator_word, to_normal_form
+from .generators import _generators, element_of_word, parse_generator_word, to_normal_form
 from .omega import DiagonalProjection
 from .words import word_to_str
 
@@ -29,12 +29,15 @@ MAX_GENERATOR_INDEX = 64
 MAX_UNNF_LETTERS = 1000
 
 
-def _max_depth() -> int:
+def _check_depth(depth: int) -> None:
+    """Reject a depth above the FTREES_MAX_DEPTH cap (default 12)."""
     raw = os.environ.get("FTREES_MAX_DEPTH", "12")
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"FTREES_MAX_DEPTH={raw!r} is not an integer")
+    if depth > cap:
+        raise ValueError(f"depth {depth} exceeds FTREES_MAX_DEPTH={cap}")
 
 
 def _json_object(text: str, *keys: str) -> dict:
@@ -122,8 +125,7 @@ def parse_pair(text: str) -> boundary.PairTruncation:
     depth = data["depth"]
     if not isinstance(depth, int) or isinstance(depth, bool):
         raise ValueError("depth must be a JSON integer")
-    if depth > _max_depth():
-        raise ValueError(f"depth {depth} exceeds FTREES_MAX_DEPTH={_max_depth()}")
+    _check_depth(depth)
     left = boundary.TreeTruncation(depth, _json_words(data["left"], "left"))
     right = boundary.TreeTruncation(depth, _json_words(data["right"], "right"))
     return boundary.PairTruncation(left, right)
@@ -144,24 +146,24 @@ def export_dot(kind: str, f: GroupElement) -> str:
     """DOT text of the bipartite diagram or the tree pair."""
     lines = []
     if kind == "bipartite":
-        by_beta = sorted(f.terms, key=lambda t: t.beta)
+        terms = f.terms  # canonical terms are in alpha order: a{i} is terms[i]
+        by_beta = sorted(range(len(terms)), key=lambda i: terms[i].beta)
         lines.append("digraph bipartite {")
         lines.append("  rankdir=TB;")
         lines.append("  node [shape=plaintext];")
         lines.append("  { rank=same;")
-        for i, t in enumerate(by_beta):
-            lines.append(f'    b{i} [label="{word_to_str(t.beta)}"];')
+        for i, j in enumerate(by_beta):
+            lines.append(f'    b{i} [label="{word_to_str(terms[j].beta)}"];')
         lines.append("  }")
         lines.append("  { rank=same;")
-        for i, t in enumerate(sorted(f.terms)):
+        for i, t in enumerate(terms):
             lines.append(f'    a{i} [label="{word_to_str(t.alpha)}"];')
         lines.append("  }")
         for i in range(len(by_beta) - 1):
             lines.append(f"  b{i} -> b{i + 1} [style=invis];")
             lines.append(f"  a{i} -> a{i + 1} [style=invis];")
-        alpha_rank = {t.alpha: i for i, t in enumerate(sorted(f.terms))}
-        for i, t in enumerate(by_beta):
-            lines.append(f"  b{i} -> a{alpha_rank[t.alpha]};")
+        for i, j in enumerate(by_beta):
+            lines.append(f"  b{i} -> a{j};")
         lines.append("}")
     elif kind == "treepair":
         lines.append("digraph treepair {")
@@ -190,6 +192,35 @@ def export_dot(kind: str, f: GroupElement) -> str:
     return "\n".join(lines) + "\n"
 
 
+# each subcommand's (name, help, arguments, handler), in declaration order
+_COMMANDS: list[tuple[str, str, tuple, Callable[[argparse.Namespace], int]]] = []
+
+
+def _command(name: str, summary: str, *arguments: str | tuple[str, dict]) -> Callable:
+    """Declare the decorated handler as the subcommand `name`; an argument is
+    a positional's name or a (flag, add_argument options) pair."""
+    def declare(handler: Callable[[argparse.Namespace], int]) -> Callable:
+        _COMMANDS.append((name, summary, arguments, handler))
+        return handler
+    return declare
+
+
+def _answer(yes: bool) -> int:
+    """Print a membership answer; its exit code is 0 for yes, 1 for no."""
+    print("yes" if yes else "no")
+    return 0 if yes else 1
+
+
+# `member --set`: the membership test of each set
+_MEMBERSHIP = {
+    "f": is_order_preserving,
+    "t": is_cyclic_order_preserving,
+    "v": lambda f: True,
+    "h2": lambda f: is_order_preserving(f) and omega.h2_member(f),
+}
+
+
+@_command("mul", "product uw (w applied first)", "u", "w")
 def _cmd_mul(args: argparse.Namespace) -> int:
     u = parse_element(args.u, args.json)
     w = parse_element(args.w, args.json)
@@ -197,22 +228,26 @@ def _cmd_mul(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command("inv", "inverse of an element", "element")
 def _cmd_inv(args: argparse.Namespace) -> int:
     print(format_element(inverse(parse_element(args.element, args.json)), args.json))
     return 0
 
 
+@_command("reduce", "canonical form of a term list", "element")
 def _cmd_reduce(args: argparse.Namespace) -> int:
     print(format_element(parse_element(args.element, args.json), args.json))
     return 0
 
 
+@_command("nf", "normal form of an element of F", "element")
 def _cmd_nf(args: argparse.Namespace) -> int:
     f = parse_element(args.element, args.json)
     print(to_normal_form(f))
     return 0
 
 
+@_command("unnf", "element of a generator word", "word")
 def _cmd_unnf(args: argparse.Namespace) -> int:
     letters = parse_generator_word(args.word)
     if len(letters) > MAX_UNNF_LETTERS:
@@ -224,20 +259,13 @@ def _cmd_unnf(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command("member", "membership in F, T, V or H2",
+          ("--set", {"choices": list(_MEMBERSHIP), "required": True}), "element")
 def _cmd_member(args: argparse.Namespace) -> int:
-    f = parse_element(args.element, args.json)
-    if args.set == "f":
-        yes = is_order_preserving(f)
-    elif args.set == "t":
-        yes = is_cyclic_order_preserving(f)
-    elif args.set == "v":
-        yes = True
-    else:
-        yes = is_order_preserving(f) and omega.h2_member(f)
-    print("yes" if yes else "no")
-    return 0 if yes else 1
+    return _answer(_MEMBERSHIP[args.set](parse_element(args.element, args.json)))
 
 
+@_command("act", "coset action f . p", "element", "projection")
 def _cmd_act(args: argparse.Namespace) -> int:
     f = parse_element(args.element, args.json)
     p = parse_projection(args.projection, args.json)
@@ -245,43 +273,48 @@ def _cmd_act(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command("coset", "coset invariant f_0 f_0*", "element")
 def _cmd_coset(args: argparse.Namespace) -> int:
     f = parse_element(args.element, args.json)
     print(format_projection(omega.coset_invariant(f), args.json))
     return 0
 
 
+@_command("trace", "exact trace of a projection", "projection")
 def _cmd_trace(args: argparse.Namespace) -> int:
     print(omega.trace(parse_projection(args.projection, args.json)))
     return 0
 
 
+@_command("omega2", "Omega_2 membership (trace test)", "projection")
 def _cmd_omega2(args: argparse.Namespace) -> int:
     km = omega.omega2_member(parse_projection(args.projection, args.json))
     if km is None:
-        print("no")
-        return 1
+        return _answer(False)
     k, m = km
     print(f"k={k} m={m}")
     return 0
 
 
+@_command("realize", "element realizing a projection as f . 1", "projection")
 def _cmd_realize(args: argparse.Namespace) -> int:
     p = parse_projection(args.projection, args.json)
     print(format_element(omega.realize(p), args.json))
     return 0
 
 
+@_command("orbit", "breadth-first orbit enumeration", "start",
+          ("--depth", {"type": int, "required": True}),
+          ("--out", {"help": "write line-delimited JSON here"}))
 def _cmd_orbit(args: argparse.Namespace) -> int:
-    if args.depth > _max_depth():
-        raise ValueError(f"depth {args.depth} exceeds FTREES_MAX_DEPTH={_max_depth()}")
+    _check_depth(args.depth)
     start = parse_projection(args.start, args.json)
     run = omega.orbit_levels(start, args.depth)
     records = sorted((d, str(p)) for p, d in run.depths.items())
     lines = [
         json.dumps(
             {
-                "generators": ["x0", "x0^-1", "x1", "x1^-1"],
+                "generators": [name for name, _ in _generators()],
                 "start": str(start),
                 "depth": args.depth,
                 "count": len(records),
@@ -302,24 +335,27 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command("boundary-act", "action on a truncated tree pair", "element",
+          ("pair", {"help": 'JSON {"depth": k, "left": [...], "right": [...]}'}))
 def _cmd_boundary_act(args: argparse.Namespace) -> int:
     f = parse_element(args.element, args.json)
     print(format_pair(boundary.act_truncated(f, parse_pair(args.pair))))
     return 0
 
 
+@_command("realizable", "does the pair window meet Omega_2", "pair")
 def _cmd_realizable(args: argparse.Namespace) -> int:
-    yes = boundary.is_realizable(parse_pair(args.pair))
-    print("yes" if yes else "no")
-    return 0 if yes else 1
+    return _answer(boundary.is_realizable(parse_pair(args.pair)))
 
 
+@_command("witness", "two Omega_2 points sharing the window", "pair")
 def _cmd_witness(args: argparse.Namespace) -> int:
     q1, q2 = boundary.non_isolation_witness(parse_pair(args.pair))
     print(json.dumps({"q": str(q1), "q'": str(q2)}, sort_keys=True))
     return 0
 
 
+@_command("separate", "independence certificate for elements", ("elements", {"nargs": "+"}))
 def _cmd_separate(args: argparse.Namespace) -> int:
     fs = [parse_element(e, args.json) for e in args.elements]
     cert = representation.independence_certificate(fs)
@@ -327,6 +363,8 @@ def _cmd_separate(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command("dot", "DOT diagram export",
+          ("--kind", {"choices": ["bipartite", "treepair"], "default": "bipartite"}), "element")
 def _cmd_dot(args: argparse.Namespace) -> int:
     f = parse_element(args.element, args.json)
     sys.stdout.write(export_dot(args.kind, f))
@@ -344,82 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="read and write elements/projections as JSON"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("mul", help="product uw (w applied first)")
-    p.add_argument("u")
-    p.add_argument("w")
-    p.set_defaults(func=_cmd_mul)
-
-    p = sub.add_parser("inv", help="inverse of an element")
-    p.add_argument("element")
-    p.set_defaults(func=_cmd_inv)
-
-    p = sub.add_parser("reduce", help="canonical form of a term list")
-    p.add_argument("element")
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("nf", help="normal form of an element of F")
-    p.add_argument("element")
-    p.set_defaults(func=_cmd_nf)
-
-    p = sub.add_parser("unnf", help="element of a generator word")
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_unnf)
-
-    p = sub.add_parser("member", help="membership in F, T, V or H2")
-    p.add_argument("--set", choices=["f", "t", "v", "h2"], required=True)
-    p.add_argument("element")
-    p.set_defaults(func=_cmd_member)
-
-    p = sub.add_parser("act", help="coset action f . p")
-    p.add_argument("element")
-    p.add_argument("projection")
-    p.set_defaults(func=_cmd_act)
-
-    p = sub.add_parser("coset", help="coset invariant f_0 f_0*")
-    p.add_argument("element")
-    p.set_defaults(func=_cmd_coset)
-
-    p = sub.add_parser("trace", help="exact trace of a projection")
-    p.add_argument("projection")
-    p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser("omega2", help="Omega_2 membership (trace test)")
-    p.add_argument("projection")
-    p.set_defaults(func=_cmd_omega2)
-
-    p = sub.add_parser("realize", help="element realizing a projection as f . 1")
-    p.add_argument("projection")
-    p.set_defaults(func=_cmd_realize)
-
-    p = sub.add_parser("orbit", help="breadth-first orbit enumeration")
-    p.add_argument("start")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--out", default=None, help="write line-delimited JSON here")
-    p.set_defaults(func=_cmd_orbit)
-
-    p = sub.add_parser("boundary-act", help="action on a truncated tree pair")
-    p.add_argument("element")
-    p.add_argument("pair", help='JSON {"depth": k, "left": [...], "right": [...]}')
-    p.set_defaults(func=_cmd_boundary_act)
-
-    p = sub.add_parser("realizable", help="does the pair window meet Omega_2")
-    p.add_argument("pair")
-    p.set_defaults(func=_cmd_realizable)
-
-    p = sub.add_parser("witness", help="two Omega_2 points sharing the window")
-    p.add_argument("pair")
-    p.set_defaults(func=_cmd_witness)
-
-    p = sub.add_parser("separate", help="independence certificate for elements")
-    p.add_argument("elements", nargs="+")
-    p.set_defaults(func=_cmd_separate)
-
-    p = sub.add_parser("dot", help="DOT diagram export")
-    p.add_argument("--kind", choices=["bipartite", "treepair"], default="bipartite")
-    p.add_argument("element")
-    p.set_defaults(func=_cmd_dot)
-
+    for name, summary, arguments, handler in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for arg in arguments:
+            flag, options = (arg, {}) if isinstance(arg, str) else arg
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
 
 

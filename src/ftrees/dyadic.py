@@ -119,10 +119,6 @@ class Dyadic:
         return f"Dyadic({self.numerator}, {self.exponent})"
 
 
-ZERO = Dyadic(0)
-ONE = Dyadic(1)
-
-
 def half_power(e: int) -> Dyadic:
     """2**-e for e >= 0."""
     return Dyadic(1, e)

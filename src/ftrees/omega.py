@@ -37,27 +37,6 @@ from .elements import (
 from .generators import _generators
 from .words import check_word
 
-__all__ = [
-    "DiagonalProjection",
-    "NotInOmega2",
-    "InternalSearchExhausted",
-    "ZERO",
-    "ONE",
-    "trace",
-    "meet",
-    "join",
-    "complement",
-    "d_tau",
-    "act",
-    "h2_member",
-    "coset_invariant",
-    "omega2_member",
-    "realize",
-    "orbit",
-    "orbit_levels",
-    "OrbitRun",
-]
-
 
 class NotInOmega2(ValueError):
     """The projection is not in the orbit of 1 (trace condition fails)."""

@@ -2,7 +2,11 @@ import contextlib
 import io
 import json
 import random
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -262,6 +266,32 @@ def test_pair_depth_cap_exits_2(capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
+# three faults: '2' is a leaf above the cut, '222' and '2111' lie below it
+FAULTY_WINDOW = json.dumps(
+    {
+        "depth": 2,
+        "left": ["e", "1", "2", "11", "12", "222", "2111"],
+        "right": ["e", "1", "2", "11", "12", "21", "22"],
+    }
+)
+
+
+def test_a_window_with_several_faults_reports_one_under_any_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "ftrees.cli", "realizable", FAULTY_WINDOW],
+            env={"PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+        )
+        for seed in ("1", "3")
+    ]
+    for r in runs:
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == "error: vertex '2' is a leaf above the cut depth\n"
+
+
 def test_separate_certificate(capsys):
     code, out, _ = run_cli(capsys, "separate", "e:e", "11:1 + 12:21 + 2:22")
     assert code == 0
@@ -320,6 +350,20 @@ def test_dot_outputs(capsys):
     as_json = json.dumps({"terms": [["21", "1"], ["22", "21"], ["1", "22"]]})
     code, from_json, _ = run_cli(capsys, "--json", "dot", "--kind", "bipartite", as_json)
     assert from_json == out
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements())
+def test_bipartite_dot_joins_each_beta_to_its_alpha(f):
+    """The b row lists the betas and the a row the alphas, each in lex
+    order, and each b node points at the a node of its own term."""
+    out = export_dot("bipartite", f)
+    labels = dict(re.findall(r'^    ([ab]\d+) \[label="(\w+)"\];$', out, re.M))
+    pairs = [(labels[b], labels[a]) for b, a in re.findall(r"^  (b\d+) -> (a\d+);$", out, re.M)]
+    n = len(f.terms)
+    assert [labels[f"b{i}"] for i in range(n)] == sorted(t.beta or "e" for t in f.terms)
+    assert [labels[f"a{i}"] for i in range(n)] == sorted(t.alpha or "e" for t in f.terms)
+    assert sorted(pairs) == sorted((t.beta or "e", t.alpha or "e") for t in f.terms)
 
 
 def test_treepair_dot_of_20000_leaves():

@@ -7,7 +7,9 @@ and exit codes must not change.  Each window is rebuilt here from the
 vertex oracle, so the inputs do not depend on the code under test.  The
 `separate` certificate of the 53 elements of the radius-3 generator ball
 was recorded before the search stopped a candidate at its first repeated
-image.
+image.  The public surface (`ftrees.__all__` and every `--help` text, at
+80 columns) and the DOT export of that ball were recorded before each
+subcommand was declared beside its handler.
 """
 
 import hashlib
@@ -16,7 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from ftrees.cli import main
+import ftrees
+from ftrees.cli import format_element, main
+from ftrees.generators import generator_ball
 from ftrees.omega import DiagonalProjection
 
 from oracles import pattern_window, window_by_vertices
@@ -90,3 +94,26 @@ def test_separate_certificate_is_byte_identical(capsys):
     case = GOLDENS["separate"]
     assert main(case["argv"]) == case["code"]
     assert capsys.readouterr().out == case["stdout"]
+
+
+def test_public_names_and_help_texts_are_unchanged(capsys, monkeypatch):
+    surface = GOLDENS["surface"]
+    assert sorted(ftrees.__all__) == surface["all"]
+    # argparse wraps help to the terminal width it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, text in surface["help"].items():
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"] if command else ["--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out == text, command or "ftrees"
+
+
+def test_dot_export_is_byte_identical(capsys):
+    ball = generator_ball(3)
+    assert len(ball) == GOLDENS["dot"]["elements"]
+    for kind, digest in GOLDENS["dot"]["sha256"].items():
+        h = hashlib.sha256()
+        for f in ball:
+            assert main(["dot", "--kind", kind, format_element(f)]) == 0
+            h.update(capsys.readouterr().out.encode())
+        assert h.hexdigest() == digest, kind
