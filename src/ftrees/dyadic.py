@@ -9,9 +9,11 @@ in lowest terms as ``k/2^e``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import total_ordering
 from typing import Union
 
 
+@total_ordering
 @dataclass(frozen=True, slots=True)
 class Dyadic:
     """numerator / 2**exponent, stored in lowest terms (exponent >= 0)."""
@@ -40,13 +42,15 @@ class Dyadic:
             return cls(value)
         raise TypeError(f"cannot interpret {value!r} as a dyadic rational")
 
-    def __add__(self, other: Union["Dyadic", int]) -> "Dyadic":
+    def _align(self, other: Union["Dyadic", int]) -> tuple[int, int, int]:
+        """(a, b, e) with self = a / 2**e and other = b / 2**e."""
         other = self._coerce(other)
         e = max(self.exponent, other.exponent)
-        num = (self.numerator << (e - self.exponent)) + (
-            other.numerator << (e - other.exponent)
-        )
-        return Dyadic(num, e)
+        return self.numerator << (e - self.exponent), other.numerator << (e - other.exponent), e
+
+    def __add__(self, other: Union["Dyadic", int]) -> "Dyadic":
+        a, b, e = self._align(other)
+        return Dyadic(a + b, e)
 
     __radd__ = __add__
 
@@ -68,18 +72,10 @@ class Dyadic:
 
     __rmul__ = __mul__
 
-    def _cmp_key(self, other: Union["Dyadic", int]) -> tuple[int, int]:
-        other = self._coerce(other)
-        e = max(self.exponent, other.exponent)
-        return (
-            self.numerator << (e - self.exponent),
-            other.numerator << (e - other.exponent),
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (Dyadic, int)):
             return NotImplemented
-        a, b = self._cmp_key(other)
+        a, b, _ = self._align(other)
         return a == b
 
     def __hash__(self) -> int:
@@ -89,20 +85,8 @@ class Dyadic:
         return hash((self.numerator, self.exponent))
 
     def __lt__(self, other: Union["Dyadic", int]) -> bool:
-        a, b = self._cmp_key(other)
+        a, b, _ = self._align(other)
         return a < b
-
-    def __le__(self, other: Union["Dyadic", int]) -> bool:
-        a, b = self._cmp_key(other)
-        return a <= b
-
-    def __gt__(self, other: Union["Dyadic", int]) -> bool:
-        a, b = self._cmp_key(other)
-        return a > b
-
-    def __ge__(self, other: Union["Dyadic", int]) -> bool:
-        a, b = self._cmp_key(other)
-        return a >= b
 
     def scaled(self, e: int) -> int:
         """self * 2**e as an exact integer; raises if not integral."""
@@ -117,8 +101,3 @@ class Dyadic:
 
     def __repr__(self) -> str:
         return f"Dyadic({self.numerator}, {self.exponent})"
-
-
-def half_power(e: int) -> Dyadic:
-    """2**-e for e >= 0."""
-    return Dyadic(1, e)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from operator import add
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ._packed import PackedElement, intervals, word
@@ -79,17 +78,15 @@ class GroupElement:
     """Canonical (reduced, alpha-sorted) unitary word sum.
 
     Each term is stored as its two intervals (`words.Quad`); `terms`, the
-    word form, is made on first use and kept.  Construct through
-    :func:`validate_unitary` / :meth:`from_terms`; the raw constructor
-    trusts its input.
+    word form, is made on first use and kept.  The constructor checks and
+    canonicalizes (alpha, beta) pairs given in any order and refinement,
+    as :func:`validate_unitary` does, raising `NotUnitary` if not unitary.
     """
 
     _quads: tuple[Quad, ...]
 
     def __init__(self, terms: Iterable[tuple[str, str]]) -> None:
-        terms = self.__dict__["terms"] = tuple(terms)
-        alphas, betas = intervals(t[0] for t in terms), intervals(t[1] for t in terms)
-        self.__dict__["_quads"] = tuple(map(add, alphas, betas))
+        self.__dict__.update(validate_unitary([Term(a, b) for a, b in terms]).__dict__)
 
     @cached_property
     def terms(self) -> tuple[Term, ...]:
@@ -97,7 +94,7 @@ class GroupElement:
 
     @classmethod
     def from_terms(cls, pairs: Iterable[tuple[str, str]]) -> "GroupElement":
-        return validate_unitary([Term(a, b) for a, b in pairs])
+        return cls(pairs)
 
     @classmethod
     def identity(cls) -> "GroupElement":
@@ -160,9 +157,7 @@ def validate_unitary(terms: Sequence[Term]) -> GroupElement:
     return f
 
 
-def reduce(terms: Sequence[Term]) -> GroupElement:
-    """Canonical element for an (possibly unreduced) unitary term list."""
-    return validate_unitary(terms)
+reduce = validate_unitary  # the canonical element of a possibly unreduced term list
 
 
 def _refined(u: GroupElement, target: CompleteCode, side: Side) -> list[Quad]:

@@ -226,14 +226,6 @@ def _solve_parities(items: list[tuple[str, int]]) -> list[Term]:
     return terms
 
 
-def _element_with_invariant(p: DiagonalProjection) -> GroupElement:
-    """An f in F with f . 1 = p, built in one pass from a parity tree."""
-    items = sorted(
-        [(w, 0) for w in p.support] + [(w, 1) for w in complement(p).support]
-    )
-    return validate_unitary(_solve_parities(items))
-
-
 def realize(p: DiagonalProjection) -> GroupElement:
     """An element f of F with f . 1 = p, certified before returning.
 
@@ -253,7 +245,10 @@ def realize(p: DiagonalProjection) -> GroupElement:
     """
     if omega2_member(p) is None:
         raise NotInOmega2(f"tau = {trace(p)} is not k/2^(2m+1) with k = 2 mod 3")
-    f = _element_with_invariant(p)
+    items = sorted(
+        [(w, 0) for w in p.support] + [(w, 1) for w in complement(p).support]
+    )
+    f = validate_unitary(_solve_parities(items))
     if not is_order_preserving(f) or act(f, ONE) != p:
         raise InternalSearchExhausted(f"parity-tree witness failed for {p}")
     return f
@@ -279,6 +274,8 @@ class OrbitRun:
 def orbit_levels(start: DiagonalProjection, depth: int) -> OrbitRun:
     """BFS under x0^+-1, x1^+-1 with discovery depths and timing; the
     generators are built and compiled once per process, not per call."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     if omega2_member(start) is None:
         raise NotInOmega2(f"orbit start {start} is not in Omega_2")
     gens = [g._interval_map for _, g in _generators()]

@@ -225,6 +225,15 @@ def test_orbit_depth_cap(capsys, monkeypatch):
     assert run_cli(capsys, "orbit", "1", "--depth", "2")[0] == 2
 
 
+def test_orbit_negative_depth_exits_2_without_writing(capsys, tmp_path):
+    out = tmp_path / "orbit.ldjson"
+    for depth in ("-1", "-3"):
+        code, stdout, err = run_cli(capsys, "orbit", "1", "--depth", depth, "--out", str(out))
+        assert (code, stdout, err) == (2, "", "error: depth must be >= 0\n")
+        assert run_cli(capsys, "orbit", "1", "--depth", depth) == (2, "", err)
+    assert not out.exists()
+
+
 def test_boundary_subcommands(capsys):
     pair = json.dumps(
         {

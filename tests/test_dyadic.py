@@ -1,9 +1,10 @@
+import operator
 import time
 from fractions import Fraction
 
 import pytest
 
-from ftrees.dyadic import Dyadic, half_power
+from ftrees.dyadic import Dyadic
 
 
 def test_lowest_terms():
@@ -23,6 +24,9 @@ def test_lowest_terms_of_large_and_signed_values():
     assert repr(Dyadic(-(1 << 50), 60)) == "Dyadic(-1, 10)"
 
 
+COMPARISONS = (operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge)
+
+
 def test_arithmetic_matches_fractions():
     import random
 
@@ -38,9 +42,11 @@ def test_arithmetic_matches_fractions():
             (a * b, fa * fb),
         ):
             assert Fraction(got.numerator, 2 ** got.exponent) == want
-        assert (a < b) == (fa < fb)
-        assert (a == b) == (fa == fb)
-        assert (a >= b) == (fa >= fb)
+        n = random.randint(-3, 3)
+        for op in COMPARISONS:
+            assert op(a, b) == op(fa, fb)
+            # an int on either side
+            assert op(a, n) == op(fa, n) and op(n, a) == op(n, fa)
 
 
 def test_int_interop():
@@ -48,6 +54,14 @@ def test_int_interop():
     assert 1 - Dyadic(1, 2) == Dyadic(3, 2)
     assert 2 * Dyadic(3, 2) == Dyadic(3, 1)
     assert Dyadic(2, 0) == 2
+    assert Dyadic(1, 1) <= 1 and 1 < Dyadic(3, 1) and Dyadic(4, 2) >= 1 and not 0 > Dyadic(1, 3)
+    # comparing with a value that is no dyadic rational is an error; equality is False
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            op(Dyadic(1), "x")
+        with pytest.raises(TypeError):
+            op("x", Dyadic(1))
+    assert Dyadic(1) != "x"
 
 
 def test_equal_values_hash_equal():
@@ -69,8 +83,3 @@ def test_scaled():
     assert Dyadic(5, 3).scaled(5) == 20
     with pytest.raises(ValueError):
         Dyadic(5, 3).scaled(2)
-
-
-def test_half_power():
-    assert half_power(0) == 1
-    assert half_power(3) == Dyadic(1, 3)

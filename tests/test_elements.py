@@ -23,7 +23,10 @@ from ftrees.elements import (
     refine,
     validate_unitary,
 )
-from ftrees.generators import element_of_word, from_normal_form, gen_x, generator_ball
+from ftrees.generators import (
+    element_of_word, from_normal_form, gen_x, generator_ball, to_normal_form,
+)
+from ftrees.representation import independence_certificate
 from ftrees.words import CompleteCode, kraft_sum, uniform_code
 
 from oracles import (
@@ -142,6 +145,22 @@ def random_pairs(seed: int, count: int) -> list[tuple[GroupElement, GroupElement
 def test_validate_unitary_golden():
     assert X0.terms == (Term("11", "1"), Term("12", "21"), Term("2", "22"))
     assert GroupElement.from_terms([("", "")]).is_identity()
+
+
+def test_constructor_canonicalizes_and_checks_its_terms():
+    shuffled = GroupElement(reversed(X0.terms))
+    assert shuffled == X0 and hash(shuffled) == hash(X0)
+    assert shuffled.terms == X0.terms
+    assert is_order_preserving(shuffled)
+    assert to_normal_form(shuffled) == to_normal_form(X0)
+    assert independence_certificate([shuffled]) == independence_certificate([X0])
+    # 11 + 12 + 2 in two pieces is 1 + 2, that is x0 refined
+    assert GroupElement([("2", "22"), ("111", "11"), ("12", "21"), ("112", "12")]) == X0
+    assert GroupElement([("", "")]) == GroupElement.identity()
+    with pytest.raises(NotUnitary, match="^range side: Kraft sum"):
+        GroupElement([("1", "1")])
+    with pytest.raises(NotUnitary, match="^empty term list"):
+        GroupElement([])
 
 
 def test_validate_unitary_rejects_incomplete():
@@ -280,10 +299,13 @@ def test_validate_unitary_messages_match_the_oracle_byte_for_byte():
         want = unitary_message(terms)
         if want is None:
             assert validate_unitary(terms).terms == merge_siblings(terms)
+            assert GroupElement(terms) == validate_unitary(terms)
             continue
-        with pytest.raises(NotUnitary) as info:
-            validate_unitary(terms)
-        assert str(info.value) == want
+        # the constructor checks like validate_unitary, with the same message
+        for build in (validate_unitary, GroupElement):
+            with pytest.raises(NotUnitary) as info:
+                build(terms)
+            assert str(info.value) == want
         kind = next(k for k in ("empty", "letter", "antichain", "Kraft") if k in want)
         kinds.add((want.split()[0], kind))
     # the empty list, and each kind of rejection on each side
@@ -311,9 +333,15 @@ def test_equal_elements_are_equal_and_hash_equal_however_built():
         finer = CompleteCode(
             common_refinement_by_scan(tuple(t.alpha for t in words), uniform_code(3).words)
         )
+        # a term split into its two children, moved apart: unreduced and unsorted
+        i = rng.randrange(len(words))
+        a, b = words[i]
+        split = [(a + "2", b + "2"), *words[:i], *words[i + 1 :], (a + "1", b + "1")]
         built = [
             from_normal_form(nf),
             GroupElement(words),
+            GroupElement(reversed(words)),
+            GroupElement(split),
             validate_unitary(refine_by_scan(GroupElement(words), finer, Side.RANGE)),
             element_of_word(nf.letters()),
             multiply(multiply(from_normal_form(nf), x), inverse(x)),

@@ -9,7 +9,11 @@ vertex oracle, so the inputs do not depend on the code under test.  The
 was recorded before the search stopped a candidate at its first repeated
 image.  The public surface (`ftrees.__all__` and every `--help` text, at
 80 columns) and the DOT export of that ball were recorded before each
-subcommand was declared beside its handler.
+subcommand was declared beside its handler.  The `realize` witnesses
+of a fixed list of projections were recorded before `GroupElement(terms)`
+checked its terms: two seeded random supports at each level 2-9, the
+mixed-depth P[2]+P[1^38 2], and supports whose parity weights alternate
+1, 2, ..., 1 at the root, so that no split point exists there.
 """
 
 import hashlib
@@ -117,3 +121,11 @@ def test_dot_export_is_byte_identical(capsys):
             assert main(["dot", "--kind", kind, format_element(f)]) == 0
             h.update(capsys.readouterr().out.encode())
         assert h.hexdigest() == digest, kind
+
+
+@pytest.mark.parametrize("case", GOLDENS["realize"], ids=lambda c: c["projection"][:40])
+def test_realize_witness_is_byte_identical(capsys, case):
+    assert main(["realize", case["projection"]]) == case["code"]
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+    assert case["stdout"] in (None, out)

@@ -354,6 +354,9 @@ def test_orbit_examples():
     assert DiagonalProjection(["111", "2"]) in orbit(ONE, 2)
     with pytest.raises(NotInOmega2):
         orbit(DiagonalProjection(["1"]), 1)
+    for depth in (-1, -3):
+        with pytest.raises(ValueError, match="^depth must be >= 0$"):
+            orbit_levels(ONE, depth)
 
 
 def test_orbit_matches_naive_bfs():

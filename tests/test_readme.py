@@ -47,7 +47,7 @@ def test_library_tour_prints_what_its_comments_say():
         flags=re.M,
     )
     exec(source, {"_check": check})
-    assert len(checked) == 5
+    assert len(checked) == 6
 
 
 def test_cli_examples_print_what_their_comments_say():
