@@ -50,7 +50,7 @@ class RigidPair(ValueError):
 
 def _cells(p: DiagonalProjection, j: int) -> list[int]:
     """The indices of the 2^-j cells that meet p, left to right."""
-    n, ends = _packed.round_out(p.n, p.ends, j)
+    n, ends = _packed.round_out(*p, j)
     return [c for a, b in zip(ends[::2], ends[1::2]) for c in range(a << j - n, b << j - n)]
 
 
@@ -92,7 +92,7 @@ class TreeTruncation:
             raise MalformedPair("depth must be >= 0")
         t = object.__new__(cls)
         object.__setattr__(t, "depth", depth)
-        object.__setattr__(t, "cells", _wrap(_packed.round_out(p.n, p.ends, depth)))
+        object.__setattr__(t, "cells", _wrap(_packed.round_out(*p, depth)))
         return t
 
     @classmethod
@@ -250,7 +250,7 @@ def _fill(
     2^t in all) in the first."""
     ends = [e for c in cells for e in (c << t, (c << t) + 1)]
     ends[1] += total - len(cells)
-    return _wrap(_packed.combine(operator.or_, inner.n, inner.ends, k + t, tuple(ends)))
+    return _wrap(_packed.combine(operator.or_, *inner, k + t, tuple(ends)))
 
 
 def non_isolation_witness(pair: PairTruncation) -> tuple[DiagonalProjection, DiagonalProjection]:

@@ -311,20 +311,10 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     start = parse_projection(args.start, args.json)
     run = omega.orbit_levels(start, args.depth)
     records = sorted((d, str(p)) for p, d in run.depths.items())
-    lines = [
-        json.dumps(
-            {
-                "generators": [name for name, _ in _generators()],
-                "start": str(start),
-                "depth": args.depth,
-                "count": len(records),
-            },
-            sort_keys=True,
-        )
-    ]
-    lines += [
-        json.dumps({"depth": d, "p": p}, sort_keys=True) for d, p in records
-    ]
+    header = {"generators": [name for name, _ in _generators()], "start": str(start),
+              "depth": args.depth, "count": len(records)}
+    lines = [json.dumps(header, sort_keys=True)]
+    lines += [json.dumps({"depth": d, "p": p}, sort_keys=True) for d, p in records]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

@@ -220,6 +220,8 @@ def standard_generators() -> list[tuple[str, GroupElement]]:
 def _ball_walk(radius: int) -> Iterator[GroupElement]:
     """Distinct elements of word length <= radius over x0^+-1, x1^+-1,
     yielded lazily in breadth-first discovery order (deterministic)."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     gens = [g for _, g in _generators()]
     frontier = [GroupElement.identity()]
     seen = {frontier[0]}

@@ -11,17 +11,17 @@ k = 2 (mod 3).  `realize` proves the converse constructively: one binary
 tree whose leaf-depth parities give the atoms of p even degree and those
 of 1 - p odd degree exists exactly when k = 2 (mod 3), and its leaves
 paired with those atoms form an explicit witness f with f . 1 = p.
-A projection is stored as the merged dyadic intervals of its support
-(`_packed`), which the action, the lattice operations, the trace and the
-orbit walk use directly; its words are made only for `support` or `str`.
+A projection is the canonical (n, ends) tuple of the merged dyadic
+intervals of its support (`_packed`), which the action, the lattice
+operations, the trace and the orbit walk use directly; its words are
+made for each `support` or `str` and never kept.
 """
 
 from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Optional
 
 from . import _packed
@@ -46,51 +46,60 @@ class InternalSearchExhausted(RuntimeError):
     """A constructed witness failed its certificate (should not occur)."""
 
 
-@dataclass(frozen=True)
-class DiagonalProjection:
+class DiagonalProjection(tuple):
     """Finite antichain of words: the projection sum of their cylinders.
 
     Empty support is the zero projection; support ("",) is the identity.
-    The stored form is the canonical (n, ends) of `_packed`, so equality
-    and hashing are structural.  `support`, the canonical word list, is
-    made on first use and kept; `str` does not keep its words, so a
-    printed orbit holds only its intervals.
+    A projection is the canonical (n, ends) tuple of `_packed`, so equality
+    and hashing are structural and p == (p.n, p.ends) with equal hashes.
+    Projections are not ordered: `<` raises TypeError.  `support`, the
+    canonical word list, is made on every read and never kept, so a
+    projection holds only its intervals.
     """
 
-    n: int
-    ends: tuple[int, ...]
+    __slots__ = ()
+    n = property(operator.itemgetter(0))
+    ends = property(operator.itemgetter(1))
+
+    def __new__(cls, support: Iterable[str]) -> DiagonalProjection:
+        return tuple.__new__(cls, _packed.pack(sorted(check_word(w) for w in support)))
 
     def __init__(self, support: Iterable[str]) -> None:
-        n, ends = _packed.pack(sorted(check_word(w) for w in support))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ends", ends)
+        """Does nothing: `__new__` builds the value."""
 
-    @cached_property
+    def __reduce__(self):
+        """Rebuild from (n, ends); tuple's default would pass them to `__new__` as words."""
+        return _wrap, (tuple(self),)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __lt__ = __le__ = __gt__ = __ge__ = lambda self, other: NotImplemented
+
+    @property
     def support(self) -> tuple[str, ...]:
-        return _packed.unpack(self.n, self.ends)
+        return _packed.unpack(*self)
 
     def is_zero(self) -> bool:
-        return not self.ends
+        return not self[1]
 
     def is_one(self) -> bool:
-        return (self.n, self.ends) == (0, (0, 1))
+        return self == (0, (0, 1))
 
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
         if self.is_one():
             return "1"
-        return "+".join(f"P[{w}]" for w in _packed.unpack(self.n, self.ends))
+        return "+".join(f"P[{w}]" for w in self.support)
 
     def __repr__(self) -> str:
         return f"DiagonalProjection({self})"
 
 
 def _wrap(packed: tuple[int, tuple[int, ...]]) -> DiagonalProjection:
-    # trusted constructor for an (n, ends) already in canonical form
-    p = object.__new__(DiagonalProjection)
-    p.__dict__["n"], p.__dict__["ends"] = packed
-    return p
+    # trusted constructor for an (n, ends) already in canonical form: no check, no __init__
+    return tuple.__new__(DiagonalProjection, packed)
 
 
 ZERO = DiagonalProjection(())
@@ -104,22 +113,22 @@ def trace(p: DiagonalProjection) -> Dyadic:
 
 def complement(p: DiagonalProjection) -> DiagonalProjection:
     """1 - p: the gaps between the intervals of p."""
-    return _wrap(_packed.complement(p.n, p.ends))
+    return _wrap(_packed.complement(*p))
 
 
 def meet(p: DiagonalProjection, q: DiagonalProjection) -> DiagonalProjection:
     """Lattice meet p ^ q, the product projection: the intersection."""
-    return _wrap(_packed.combine(operator.and_, p.n, p.ends, q.n, q.ends))
+    return _wrap(_packed.combine(operator.and_, *p, *q))
 
 
 def join(p: DiagonalProjection, q: DiagonalProjection) -> DiagonalProjection:
     """Lattice join p v q: the union."""
-    return _wrap(_packed.combine(operator.or_, p.n, p.ends, q.n, q.ends))
+    return _wrap(_packed.combine(operator.or_, *p, *q))
 
 
 def d_tau(p: DiagonalProjection, q: DiagonalProjection) -> Dyadic:
     """tau(|p - q|): the trace of the symmetric difference."""
-    return trace(_wrap(_packed.combine(operator.ne, p.n, p.ends, q.n, q.ends)))
+    return trace(_wrap(_packed.combine(operator.ne, *p, *q)))
 
 
 def act(f: GroupElement, p: DiagonalProjection) -> DiagonalProjection:
@@ -132,7 +141,7 @@ def act(f: GroupElement, p: DiagonalProjection) -> DiagonalProjection:
     g = f._interval_map
     if g is None:
         raise NotInF("the action is defined for order-preserving elements")
-    return _wrap(g.act(p.n, p.ends))
+    return _wrap(g.act(*p))
 
 
 def h2_member(f: GroupElement) -> bool:
@@ -279,8 +288,8 @@ def orbit_levels(start: DiagonalProjection, depth: int) -> OrbitRun:
     if omega2_member(start) is None:
         raise NotInOmega2(f"orbit start {start} is not in Omega_2")
     gens = [g._interval_map for _, g in _generators()]
-    frontier = [(start.n, start.ends)]
-    seen = {frontier[0]: 0}
+    frontier = [start]
+    seen = {start: 0}  # projections; a raw (n, ends) finds its equal-hashing key
     actions = 0
     t0 = time.perf_counter()
     for d in range(1, depth + 1):
@@ -291,12 +300,11 @@ def orbit_levels(start: DiagonalProjection, depth: int) -> OrbitRun:
         nxt = []
         for q in produced:
             if q not in seen:
+                q = _wrap(q)
                 seen[q] = d
                 nxt.append(q)
         frontier = nxt
-    elapsed = time.perf_counter() - t0
-    depths = {_wrap(q): dd for q, dd in seen.items()}
-    return OrbitRun(depths, actions, elapsed)
+    return OrbitRun(seen, actions, time.perf_counter() - t0)
 
 
 def orbit(start: DiagonalProjection, depth: int) -> set[DiagonalProjection]:

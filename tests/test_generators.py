@@ -241,6 +241,13 @@ def test_ball_round_trip_and_counts():
     assert len(forms) == len(ball)
 
 
+def test_negative_radius_is_rejected():
+    assert generator_ball(0) == [GroupElement.identity()]
+    for radius in (-1, -3):
+        with pytest.raises(ValueError, match="^radius must be >= 0$"):
+            generator_ball(radius)
+
+
 def test_parse_and_format_normal_form():
     nf = parse_normal_form("x0 x2 x1^-1")
     assert nf.positive == (0, 2) and nf.negative == (1,)

@@ -1,7 +1,10 @@
+import copy
 import dataclasses
 import operator
+import pickle
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -482,6 +485,40 @@ def test_wrapped_projection_is_the_constructed_one():
         fresh = DiagonalProjection(act_by_transport(f, p).support)
         assert image == fresh and hash(image) == hash(fresh)
         assert image.support == fresh.support and str(image) == str(fresh)
+
+
+def test_projection_is_a_value_equal_to_its_canonical_tuple():
+    rng = random.Random(23)
+    ps = [ZERO, ONE] + [
+        DiagonalProjection(random_antichain(rng, rng.randint(0, 10))) for _ in range(100)
+    ]
+    for p in ps:
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        copies = [copy.copy(p), copy.deepcopy(p)]
+        copies += [pickle.loads(pickle.dumps(p, protocol)) for protocol in protocols]
+        for q in copies:
+            assert type(q) is DiagonalProjection
+            assert q == p and hash(q) == hash(p) and str(q) == str(p)
+        assert p == (p.n, p.ends) and hash(p) == hash((p.n, p.ends))
+        for order in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                order(p, ONE)
+    assert all(type(p) is DiagonalProjection for p in orbit_levels(ONE, 6).depths)
+
+
+def test_reading_support_keeps_no_words():
+    # the words of each point are made on every read and dropped with it
+    run = orbit_levels(ONE, 8)
+    assert len(run.depths) == 5716
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        words = sum(len(p.support) for p in run.depths)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert words > len(run.depths)
+    assert kept < 64 * 1024
 
 
 def test_act_and_complement_match_transport_oracle():

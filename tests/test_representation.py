@@ -111,6 +111,16 @@ def test_a_repeated_element_is_rejected_before_any_action(monkeypatch):
     assert calls == []
 
 
+def test_a_negative_radius_is_rejected_before_any_action(monkeypatch):
+    calls = []
+    monkeypatch.setattr(representation, "act", lambda f, p: calls.append(f) or act(f, p))
+    for search in (separating_point, independence_certificate):
+        for radius in (-1, -2):
+            with pytest.raises(ValueError, match="^radius must be >= 0$"):
+                search([gen_x(0), gen_x(1)], max_radius=radius)
+    assert calls == []
+
+
 def test_certificate_ball1_and_trivial():
     ball1 = generator_ball(1)
     assert len(ball1) == 5
