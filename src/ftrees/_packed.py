@@ -18,7 +18,7 @@ intervals and terms, not with 2^n.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 _TO_BITS = str.maketrans("12", "01")
 _TO_WORD = str.maketrans("01", "12")
@@ -71,16 +71,17 @@ def pack(support: Iterable[str]) -> tuple[int, tuple[int, ...]]:
     return _canonical(n, ends)
 
 
-def unpack(n: int, ends: tuple[int, ...]) -> tuple[str, ...]:
-    """The maximal aligned blocks of the intervals: the canonical support."""
-    out: list[str] = []
+def unpack(n: int, ends: Sequence[int], make: Callable[[int, int], object] = word) -> tuple:
+    """make(length, value) of each maximal aligned block of the intervals,
+    left to right: by default its word, and then the canonical support."""
+    out = []
     for i in range(0, len(ends), 2):
         a, b = ends[i], ends[i + 1]
         while a < b:
             k = (b - a).bit_length() - 1
             if a:
                 k = min(k, (a & -a).bit_length() - 1)
-            out.append(word(n - k, a >> k))
+            out.append(make(n - k, a >> k))
             a += 1 << k
     return tuple(out)
 

@@ -317,8 +317,11 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     lines += [json.dumps({"depth": d, "p": p}, sort_keys=True) for d, p in records]
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # exit 2, not 1: 1 means "no" to a membership question
+            raise ValueError(f"cannot write the orbit file: {exc}") from exc
         print(f"{len(records)} projections")
     else:
         sys.stdout.write(text)

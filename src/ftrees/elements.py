@@ -121,7 +121,8 @@ class GroupElement:
         return inverse(self)
 
     def __str__(self) -> str:
-        return " + ".join(str(t) for t in self.terms)
+        pairs = self.__dict__.get("terms") or [(word(*q[:2]), word(*q[2:])) for q in self._quads]
+        return " + ".join([f"{a or 'e'}:{b or 'e'}" for a, b in pairs])
 
     def __repr__(self) -> str:
         return f"GroupElement({self})"

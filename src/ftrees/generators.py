@@ -217,9 +217,10 @@ def standard_generators() -> list[tuple[str, GroupElement]]:
     return list(_generators())
 
 
-def _ball_walk(radius: int) -> Iterator[GroupElement]:
+def _ball_walk(radius: int, sizes: list[int] | None = None) -> Iterator[GroupElement]:
     """Distinct elements of word length <= radius over x0^+-1, x1^+-1,
-    yielded lazily in breadth-first discovery order (deterministic)."""
+    yielded lazily in breadth-first discovery order (deterministic); each
+    finished ball's size goes to `sizes`, if given: its length is the radius."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     gens = [g for _, g in _generators()]
@@ -227,6 +228,8 @@ def _ball_walk(radius: int) -> Iterator[GroupElement]:
     seen = {frontier[0]}
     yield frontier[0]
     for _ in range(radius):
+        if sizes is not None:
+            sizes.append(len(seen))
         nxt: list[GroupElement] = []
         for f in frontier:
             for g in gens:

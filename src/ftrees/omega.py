@@ -22,6 +22,7 @@ from __future__ import annotations
 import operator
 import time
 from dataclasses import FrozenInstanceError, dataclass
+from itertools import accumulate
 from typing import Iterable, Optional
 
 from . import _packed
@@ -29,13 +30,13 @@ from .dyadic import Dyadic
 from .elements import (
     GroupElement,
     NotInF,
-    Term,
+    _element,
+    _reduce_terms,
     is_order_preserving,
     multiply,  # noqa: F401 -- bench/test_bench.py checks its tracer rebinds omega.multiply
-    validate_unitary,
 )
 from .generators import _generators
-from .words import check_word
+from .words import Quad, _tiles, check_word
 
 
 class NotInOmega2(ValueError):
@@ -51,10 +52,10 @@ class DiagonalProjection(tuple):
 
     Empty support is the zero projection; support ("",) is the identity.
     A projection is the canonical (n, ends) tuple of `_packed`, so equality
-    and hashing are structural and p == (p.n, p.ends) with equal hashes.
-    Projections are not ordered: `<` raises TypeError.  `support`, the
-    canonical word list, is made on every read and never kept, so a
-    projection holds only its intervals.
+    and hashing are structural and p == (p.n, p.ends) with equal hashes;
+    `len`, indexing and iteration read that tuple, but `<`, `p + q`, `p * 2`
+    and `2 * p` raise TypeError.  `support`, the canonical word list, is
+    made on every read and never kept: a projection holds only intervals.
     """
 
     __slots__ = ()
@@ -75,6 +76,7 @@ class DiagonalProjection(tuple):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     __lt__ = __le__ = __gt__ = __ge__ = lambda self, other: NotImplemented
+    __add__ = __mul__ = __rmul__ = __lt__
 
     @property
     def support(self) -> tuple[str, ...]:
@@ -182,57 +184,51 @@ def omega2_member(p: DiagonalProjection) -> Optional[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # Constructive realization of admissible projections
 # ---------------------------------------------------------------------------
-#
-# realize() builds its witness in one pass.  The atoms of p and of 1 - p,
-# in lex order, are the range words of the terms; a binary tree whose
-# leaves are the domain words is grown so that each leaf depth has the
-# parity that gives atoms of p even degree and atoms of 1 - p odd degree
-# (splitting an atom in two where the parities demand it).  The even part
-# of the element then has range p, so f . 1 = p.
 
 
-def _solve_parities(items: list[tuple[str, int]]) -> list[Term]:
-    """Terms (range word, domain word) pairing `items` with the leaves of
-    a binary tree whose leaf depths have the required parities.
+def _solve_parities(items: list[tuple[int, int, int]]) -> list[Quad]:
+    """Terms, in alpha order, pairing `items`, (length, value, required
+    degree parity) in left-to-right order, with the leaves (depth, value)
+    of a binary tree whose leaf depths have the required parities.
 
-    `items` holds (range word, required degree parity) in lex order.  At a
-    node of depth d an item weighs 1 if a leaf there would have even depth
-    below the node, else 2: its Kraft share mod 3.  A node is solvable
-    exactly when its weights sum to 1 mod 3; it splits where the prefix
-    weight is 2 mod 3, which flips every weight on both sides.  Without
-    such a point the weights alternate 1, 2, ..., 1, and splitting a
-    weight-1 item into two weight-2 halves makes one.  The split nearest
-    the middle keeps the tree about log2 of the item count deep.
+    At a node of depth d an item weighs 1 if a leaf there would have even
+    depth below the node, else 2: its Kraft share mod 3.  A node is
+    solvable exactly when its weights sum to 1 mod 3; it splits where the
+    prefix weight is 2 mod 3 (nearest the middle, so the tree is about
+    log2 of the item count deep), which flips every weight on both sides.
+    Without such a point the weights alternate 1, 2, ..., 1, and splitting
+    a weight-1 item into two weight-2 halves makes one.  A weight at odd
+    depth is minus its weight at depth 0, so a node reads its prefix
+    weights off the depth-0 prefix sums of its run of items.
     """
 
-    def weights(items: list[tuple[str, int]], depth: int) -> list[int]:
-        return [1 + (len(a) + odd + depth) % 2 for a, odd in items]
+    def prefix(items: list) -> bytes:  # the depth-0 weights, summed mod 3
+        return bytes(s % 3 for s in accumulate([1 + (m + o) % 2 for m, _, o in items], initial=0))
 
-    total = sum(weights(items, 0)) % 3
-    if total != 1:
-        raise AssertionError(f"unsolvable parity sequence (weight {total})")
-    terms: list[Term] = []
-    stack = [("", items)]
+    pre = prefix(items)
+    if pre[-1] != 1:
+        raise AssertionError(f"unsolvable parity sequence (weight {pre[-1]})")
+    quads: list[Quad] = []
+    stack = [(0, 0, items, pre, 0, len(items))]
     while stack:
-        node, items = stack.pop()
-        n = len(items)
+        d, v, items, pre, lo, hi = stack.pop()
+        n = hi - lo
         if n == 1:
-            terms.append(Term(items[0][0], node))
+            quads.append((*items[lo][:2], d, v))
             continue
-        ws = weights(items, len(node))
-        prefix, split = 0, None
-        for j in range(1, n):
-            prefix = (prefix + ws[j - 1]) % 3
-            if prefix == 2 and (split is None or abs(2 * j - n) < abs(2 * split - n)):
-                split = j
-        if split is None:
-            i = min(range(0, n, 2), key=lambda i: abs(2 * i + 1 - n))
-            a, odd = items[i]
-            items = items[:i] + [(a + "1", odd), (a + "2", odd)] + items[i + 1 :]
-            split = i + 1
-        stack.append((node + "2", items[split:]))
-        stack.append((node + "1", items[:split]))
-    return terms
+        # the split nearest the middle: the smallest |2j - n|, on a tie the smaller j
+        a, w = n // 2, (pre[lo] + 2 - d % 2) % 3  # pre[lo + j] == w: weight 2 up to j
+        left = pre.rfind(w, lo + 1, lo + a + 1) - lo  # the largest j <= a, else negative
+        right = pre.find(w, lo + n - a, lo + n) - lo  # the smallest j >= n - a, else negative
+        j = left if right < 0 or 0 < left and n - 2 * left <= 2 * right - n else right
+        if j < 0:  # n is odd, and the weight-1 items are at even positions
+            i = lo + (n - 1) // 2 - ((n - 1) // 2) % 2
+            m, u, o = items[i]
+            items = [*items[lo:i], (m + 1, 2 * u, o), (m + 1, 2 * u + 1, o), *items[i + 1 : hi]]
+            lo, hi, j, pre = 0, n + 1, i - lo + 1, prefix(items)
+        stack.append((d + 1, 2 * v + 1, items, pre, lo + j, hi))
+        stack.append((d + 1, 2 * v, items, pre, lo, lo + j))
+    return quads
 
 
 def realize(p: DiagonalProjection) -> GroupElement:
@@ -249,16 +245,20 @@ def realize(p: DiagonalProjection) -> GroupElement:
     sum_p (-1)^|w| - sum_(1-p) (-1)^|w| = -k - (k + 1) = k + 2 (mod 3),
     which is 1 exactly when k = 2 (mod 3): the trace test.  Every weight
     sequence summing to 1 has a tree (`_solve_parities`), so realize
-    succeeds on all of Omega_2 in one pass, at a cost that grows with the
-    atom count of p and 1 - p rather than with 2^level.
+    succeeds on all of Omega_2 in one pass.  The atoms are read off the
+    intervals of p and of their gaps, no word is made, and the cost grows
+    with the atom count of p and 1 - p rather than with 2^level.  The
+    certificate: f is in F, both its sides tile [0, 1], and f . 1 = p.
     """
     if omega2_member(p) is None:
         raise NotInOmega2(f"tau = {trace(p)} is not k/2^(2m+1) with k = 2 mod 3")
-    items = sorted(
-        [(w, 0) for w in p.support] + [(w, 1) for w in complement(p).support]
-    )
-    f = validate_unitary(_solve_parities(items))
-    if not is_order_preserving(f) or act(f, ONE) != p:
+    n, cuts = p.n, (0, *p.ends, 1 << p.n)
+    items: list[tuple[int, int, int]] = []  # (length, value, degree parity)
+    for i in range(len(cuts) - 1):  # the gaps of p, the even segments, need odd degree
+        items += _packed.unpack(n, cuts[i : i + 2], lambda m, v, odd=~i & 1: (m, v, odd))
+    f = _element(_reduce_terms(_solve_parities(items)))
+    tiled = not any(_tiles([t[k : k + 2] for t in f._quads]) for k in (0, 2))
+    if not (is_order_preserving(f) and tiled and act(f, ONE) == p):
         raise InternalSearchExhausted(f"parity-tree witness failed for {p}")
     return f
 

@@ -8,13 +8,16 @@ linear-independence certificates.
 
 from __future__ import annotations
 
+import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from ._packed import PackedElement
 from .elements import GroupElement, NotInF, is_order_preserving
 from .generators import _ball_walk
-from .omega import ONE, DiagonalProjection, act, omega2_member
+from .omega import DiagonalProjection, _wrap, act, omega2_member
 
 
 class SearchExhausted(RuntimeError):
@@ -66,42 +69,83 @@ def apply(f: GroupElement, v: FormalVector) -> FormalVector:
     return FormalVector(out)
 
 
+class _Candidates:
+    """The points g . 1, g along one breadth-first walk of the generator
+    ball, as (radius, (n, ends)) at first sighting in walk order: a group
+    constant, walked once per process as far as searches ask.  `points` is
+    only ever a prefix of the sightings: it grows under a lock, and an
+    exception, which ends the walk, starts it over.  Through radius 8 it
+    holds 5,716 points and the walk's 11,237 elements: 12.1 MB in all, of
+    which the points and their set take 1.8 MB (tracemalloc, Python 3.11)."""
+
+    _lock = threading.Lock()  # one for every table
+
+    def __init__(self) -> None:
+        self.points, self._seen, self._sizes = [], set(), []  # len(_sizes): the radius walked
+        self._walk = _ball_walk(sys.maxsize, self._sizes)
+
+    def get(self, i: int, radius: int) -> tuple | None:
+        """Entry i, or None if the walk passes `radius` before it."""
+        with self._lock:
+            try:
+                while len(self.points) <= i and len(self._sizes) <= radius:
+                    p = PackedElement(next(self._walk)._quads).act(0, (0, 1))  # g keeps no map
+                    if p not in self._seen:
+                        self._seen.add(p)
+                        self.points.append((len(self._sizes), p))
+            except BaseException:
+                self.__init__()
+                raise
+            return self.points[i] if i < len(self.points) else None
+
+
+_CANDIDATES = _Candidates()
+
+
 def _separation(
     fs: Sequence[GroupElement], max_radius: int
 ) -> tuple[DiagonalProjection, tuple[DiagonalProjection, ...]]:
-    """The separating point of `separating_point` and its images."""
+    """The separating point of `separating_point` and its images.  Each
+    candidate is lifted once to the family's largest scale, images stay raw
+    until the winner's are wrapped, and the two elements of each collision
+    move to the front of the scan, so the pairs that collided last go first."""
     if len(set(fs)) < len(fs):  # no point separates an element from itself
         raise ValueError("certificate requires pairwise distinct elements")
-    if any(f._interval_map is None for f in fs):  # compiles each f once, for `act`
+    maps = [f._interval_map for f in fs]  # each f compiled once
+    if None in maps:
         raise NotInF("separating points are defined for families in F")
-    tried: set[DiagonalProjection] = set()
-    for g in _ball_walk(max_radius):
-        p = act(g, ONE)
-        if p in tried:
-            continue
-        tried.add(p)
-        # insertion-ordered, so the images stay in family order
-        images: dict[DiagonalProjection, None] = {}
-        for f in fs:
-            q = act(f, p)
-            if q in images:
-                break  # a repeated image: p fails, skip the rest of the family
-            images[q] = None
+    if max_radius < 0:
+        raise ValueError("radius must be >= 0")
+    top = max(g.base for g in maps)
+    order = list(range(len(maps)))
+    i = 0
+    while (entry := _CANDIDATES.get(i, max_radius)) and entry[0] <= max_radius:
+        i += 1
+        n, ends = p = entry[1]
+        if n < top:
+            n, ends = top, tuple([e << (top - n) for e in ends])
+        first: dict = {}  # image -> element, in the order of the scan
+        for b in order:
+            a = first.setdefault(maps[b].act(n, ends), b)
+            if a != b:
+                order.remove(a)
+                order.remove(b)
+                order[:0] = (a, b)
+                break
         else:
-            return p, tuple(images)
+            return _wrap(p), tuple(map(_wrap, sorted(first, key=first.__getitem__)))
     raise SearchExhausted(max_radius)
 
 
-def separating_point(
-    fs: Sequence[GroupElement], max_radius: int = 8
-) -> DiagonalProjection:
+def separating_point(fs: Sequence[GroupElement], max_radius: int = 8) -> DiagonalProjection:
     """A projection p with f . p pairwise distinct over the family.
 
     Candidates are p = g . 1 for g along one breadth-first walk of the
     generator ball of radius max_radius, each point tested once and only
     until its first repeated image; the first success in (radius,
-    discovery) order is returned, so the result is deterministic.  A
-    family with a repeated element raises ValueError before any action.
+    discovery) order is returned, so the result is deterministic.  The
+    walk's points are kept once per process (`_Candidates`).  A family
+    with a repeated element raises ValueError before any action.
     """
     return _separation(fs, max_radius)[0]
 

@@ -63,24 +63,31 @@ def kraft_sum(words: Iterable[str]) -> Dyadic:
     return Dyadic(sum(1 << (top - n) for n in lengths), top)
 
 
-def _tiling(words: Sequence[str]) -> tuple[list[tuple[int, int]], list[int]]:
-    """The words' intervals (`_packed.intervals`) and their positions in
-    lex order, which puts a word before its extensions; raises ValueError
-    unless each interval starts where the one before ends.  One starting
-    earlier (a repeat or an extension) wins over a gap."""
-    ints = _packed.intervals(map(check_word, words))
-    order = sorted(range(len(words)), key=words.__getitem__)
-    m, e = 0, 0  # the previous interval ends at e / 2^m
-    gap = False
-    for i in order:
-        n, v = ints[i]
+def _tiles(ints: Iterable[tuple[int, int]]) -> int:
+    """0 if the (length, value) intervals, in the order given, tile [0, 1];
+    else -1 if one starts before the last one ends (a repeat or an
+    extension, which wins over a gap), or 1 for a gap."""
+    m = e = gap = 0  # the previous interval ends at e / 2^m
+    for n, v in ints:
         a, b = v << m, e << n  # its start and that end, at one scale
         if a != b:
             if a < b:
-                raise ValueError(f"not an antichain: {tuple(sorted(words))}")
+                return -1
             gap = True
         m, e = n, v + 1
-    if gap or e != 1 << m:
+    return int(gap or e != 1 << m)
+
+
+def _tiling(words: Sequence[str]) -> tuple[list[tuple[int, int]], list[int]]:
+    """The words' intervals (`_packed.intervals`) and their positions in
+    lex order, which puts a word before its extensions; raises ValueError
+    unless they tile [0, 1] in that order."""
+    ints = _packed.intervals(map(check_word, words))
+    order = sorted(range(len(words)), key=words.__getitem__)
+    fault = _tiles([ints[i] for i in order])
+    if fault < 0:
+        raise ValueError(f"not an antichain: {tuple(sorted(words))}")
+    if fault:
         ws = tuple(sorted(words))
         raise ValueError(f"Kraft sum of {ws} is {kraft_sum(ws)}, not 1")
     return ints, order

@@ -10,8 +10,10 @@ sibling-merged to a fixed point over a dictionary, codes are
 checked by a prefix scan of their sorted words, F and T membership is
 read off the position map of the two sorted codes, traces and set
 operations are exact fractions on the covered region of [0, 1), tree
-windows are dense vertex sets moved by string transport, and
-realizability is decided by exhausting fill counts.
+windows are dense vertex sets moved by string transport,
+realizability is decided by exhausting fill counts, the parity tree of
+a realize witness is grown on sorted support words, and a separating
+point is searched by acting on every element of the generator ball.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cache
 
 from ftrees.elements import GroupElement, Side, TargetNotARefinement, Term
-from ftrees.generators import NormalFormWord
-from ftrees.omega import DiagonalProjection
+from ftrees.generators import NormalFormWord, generator_ball
+from ftrees.omega import ONE, DiagonalProjection, act
 from ftrees.words import CompleteCode, check_word, word_to_str
 
 
@@ -597,3 +600,71 @@ def brute_force_realizable(
         if n % 3 == 2:
             return True
     return False
+
+
+def solve_parities(items: list[tuple[str, int]]) -> list[Term]:
+    """Terms (range word, domain word) pairing `items`, (word, required
+    degree parity) in lex order, with the leaves of a binary tree whose
+    leaf depths have the required parities.
+
+    At a node of depth d an item weighs 1 if a leaf there would have even
+    depth below the node, else 2.  A node splits where the prefix weight
+    is 2 mod 3 nearest the middle (the smaller j on a tie); without one,
+    the weight-1 item at an even position nearest the middle is split in
+    two halves first.
+    """
+
+    def weights(items: list[tuple[str, int]], depth: int) -> list[int]:
+        return [1 + (len(a) + odd + depth) % 2 for a, odd in items]
+
+    total = sum(weights(items, 0)) % 3
+    if total != 1:
+        raise AssertionError(f"unsolvable parity sequence (weight {total})")
+    terms: list[Term] = []
+    stack = [("", items)]
+    while stack:
+        node, items = stack.pop()
+        n = len(items)
+        if n == 1:
+            terms.append(Term(items[0][0], node))
+            continue
+        ws = weights(items, len(node))
+        prefix, split = 0, None
+        for j in range(1, n):
+            prefix = (prefix + ws[j - 1]) % 3
+            if prefix == 2 and (split is None or abs(2 * j - n) < abs(2 * split - n)):
+                split = j
+        if split is None:
+            i = min(range(0, n, 2), key=lambda i: abs(2 * i + 1 - n))
+            a, odd = items[i]
+            items = items[:i] + [(a + "1", odd), (a + "2", odd)] + items[i + 1 :]
+            split = i + 1
+        stack.append((node + "2", items[split:]))
+        stack.append((node + "1", items[:split]))
+    return terms
+
+
+def realize_by_words(p: DiagonalProjection) -> tuple[list[Term], int]:
+    """The parity-tree terms for the sorted atoms of p and of 1 - p, and
+    the number of atoms (fewer than the terms when an atom was split)."""
+    items = sorted([(w, 0) for w in p.support] + [(w, 1) for w in complement_by_paths(p).support])
+    return solve_parities(items), len(items)
+
+
+@cache
+def _ball(radius: int) -> list[GroupElement]:
+    return generator_ball(radius)
+
+
+def separation_by_ball(
+    fs: list[GroupElement], max_radius: int
+) -> tuple[DiagonalProjection, tuple[DiagonalProjection, ...]] | None:
+    """The first point g . 1, g along generator_ball(max_radius), whose
+    images under the family are pairwise distinct, and those images;
+    None if there is none.  Every element is acted on, repeats included."""
+    for g in _ball(max_radius):
+        p = act(g, ONE)
+        images = tuple(act(f, p) for f in fs)
+        if len(set(images)) == len(images):
+            return p, images
+    return None

@@ -234,6 +234,21 @@ def test_orbit_negative_depth_exits_2_without_writing(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_orbit_out_to_a_bad_path_exits_2_in_one_line(capsys, tmp_path):
+    # exit 1 would read as "no"; a missing directory and a directory are input errors
+    for target, reason in ((tmp_path / "missing" / "f", "No such file"), (tmp_path, "Is a directory")):
+        code, out, err = run_cli(capsys, "orbit", "1", "--depth", "2", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write the orbit file: ") and reason in err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+    # a start outside Omega_2 fails before the file is opened
+    out = tmp_path / "orbit.ldjson"
+    code, _, err = run_cli(capsys, "orbit", "P[1]", "--depth", "2", "--out", str(out))
+    assert code == 2 and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_boundary_subcommands(capsys):
     pair = json.dumps(
         {

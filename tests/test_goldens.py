@@ -13,7 +13,10 @@ subcommand was declared beside its handler.  The `realize` witnesses
 of a fixed list of projections were recorded before `GroupElement(terms)`
 checked its terms: two seeded random supports at each level 2-9, the
 mixed-depth P[2]+P[1^38 2], and supports whose parity weights alternate
-1, 2, ..., 1 at the root, so that no split point exists there.
+1, 2, ..., 1 at the root, so that no split point exists there.  The
+witness of the level-12 support of `test_omega.test_realize_level12_support`
+(1,430 words, 3,243 terms) is pinned by its sha256 alone, recorded
+before realize ran on integer intervals.
 """
 
 import hashlib

@@ -41,6 +41,7 @@ from oracles import (
     complement_by_paths,
     interval_of_word,
     measure,
+    realize_by_words,
     region,
     term_images,
     witnesses_orbit_point,
@@ -506,6 +507,19 @@ def test_projection_is_a_value_equal_to_its_canonical_tuple():
     assert all(type(p) is DiagonalProjection for p in orbit_levels(ONE, 6).depths)
 
 
+def test_projection_reads_as_its_tuple_but_does_no_tuple_arithmetic():
+    p = DiagonalProjection(["12", "21"])
+    assert len(p) == 2 and p[0] == 2 and p[1] == (1, 3) and tuple(p) == (2, (1, 3))
+    n, ends = p
+    assert (n, ends) == (p.n, p.ends)
+    # (5,) + p and p <= (5, ()) are tuple's own reflected operations: not pinned
+    for sum_or_repeat in (
+        lambda: ONE + ONE, lambda: p + ONE, lambda: p + (5,), lambda: p * 2, lambda: 2 * p
+    ):
+        with pytest.raises(TypeError):
+            sum_or_repeat()
+
+
 def test_reading_support_keeps_no_words():
     # the words of each point are made on every read and dropped with it
     run = orbit_levels(ONE, 8)
@@ -575,6 +589,21 @@ def test_realize_level12_support():
         p = random_projection(rng, 12)
     assert len(p.support) >= 1400
     assert_realizes(p)
+
+
+def test_realize_matches_the_word_parity_tree():
+    # seeded mixed-depth supports at levels 1-12, some needing an atom split
+    rng = random.Random(16)
+    checked = splits = 0
+    while checked < 2000:
+        p = DiagonalProjection(random_antichain(rng, rng.randint(1, 12)))
+        if omega2_member(p) is None or p.is_one():
+            continue
+        terms, atoms = realize_by_words(p)
+        assert realize(p).terms == tuple(terms)
+        checked += 1
+        splits += len(terms) > atoms
+    assert splits >= 1000
 
 
 def test_realize_mixed_depth_support_is_fast():

@@ -1,5 +1,8 @@
 import json
 import random
+import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -16,6 +19,8 @@ from ftrees.representation import (
     independence_certificate,
     separating_point,
 )
+
+from oracles import separation_by_ball
 
 
 def test_vector_validation_and_normalization():
@@ -159,57 +164,58 @@ def test_certificate_json():
     assert not bad.verify()
 
 
+def count_calls(monkeypatch, name: str, record) -> list:
+    """Calls of PackedElement.<name>, each recorded as record(self, *args)."""
+    calls = []
+    method = getattr(_packed.PackedElement, name)
+
+    def counting(self, *args):
+        calls.append(record(self, *args))
+        return method(self, *args)
+
+    monkeypatch.setattr(_packed.PackedElement, name, counting)
+    return calls
+
+
+def count_acts(monkeypatch) -> list:
+    """(compiled element, canonical input point) of every interval-map action."""
+    return count_calls(monkeypatch, "act", lambda g, n, ends: (g, _packed._canonical(n, list(ends))))
+
+
 def test_certificate_compiles_each_element_once(monkeypatch):
-    built = []
-    compile_terms = _packed.PackedElement.__init__
-
-    def counting_init(self, terms):
-        built.append(terms)
-        compile_terms(self, terms)
-
-    walked = []
-
-    def counting_walk(radius):
-        for g in _ball_walk(radius):
-            walked.append(g)
-            yield g
-
-    monkeypatch.setattr(_packed.PackedElement, "__init__", counting_init)
-    monkeypatch.setattr(representation, "_ball_walk", counting_walk)
+    built = count_calls(monkeypatch, "__init__", lambda g, terms: terms)
+    # a new candidate table, so that this search walks the ball itself
+    monkeypatch.setattr(representation, "_CANDIDATES", representation._Candidates())
     rng = random.Random(31)
+    sample = rng.sample(generator_ball(4), 40)
     # fresh elements, so nothing was compiled before
-    fs = [GroupElement(f.terms) for f in rng.sample(generator_ball(4), 40)]
+    fs = [GroupElement(f.terms) for f in sample]
     cert = independence_certificate(fs)
     assert cert.verify()
-    assert len(walked) > 1
-    assert len(built) <= len(fs) + len(walked)
+    family = sorted(id(t) for t in built if any(t is f._quads for f in fs))
+    assert family == sorted(id(f._quads) for f in fs)
+    walked = [t for t in built if not any(t is f._quads for f in fs)]
+    assert len(walked) > 1 and len(set(walked)) == len(walked)
+    # the walked table serves the next family: only its own elements compile
+    built.clear()
+    fs = [GroupElement(f.terms) for f in sample]
+    assert independence_certificate(fs) == cert
+    assert len(built) == len(fs)
 
 
 def test_certificate_acts_on_its_point_once_per_element(monkeypatch):
-    calls = []
-
-    def counting_act(f, p):
-        calls.append((f.terms, p))
-        return act(f, p)
-
-    monkeypatch.setattr(representation, "act", counting_act)
+    calls = count_acts(monkeypatch)
     rng = random.Random(32)
     fs = rng.sample(generator_ball(3), 20)
     cert = independence_certificate(fs)
-    family = {f.terms for f in fs}
-    assert sum(t in family and p == cert.point for t, p in calls) == len(fs)
+    family = {id(f._interval_map) for f in fs}
+    assert sum(id(g) in family and p == cert.point for g, p in calls) == len(fs)
     assert cert.images == tuple(act(f, cert.point) for f in fs)
     assert cert.verify()
 
 
 def test_a_candidate_stops_at_its_first_repeated_image(monkeypatch):
-    calls = []
-
-    def counting_act(f, p):
-        calls.append((f, p))
-        return act(f, p)
-
-    monkeypatch.setattr(representation, "act", counting_act)
+    calls = count_acts(monkeypatch)
     h = GroupElement.from_terms(
         [("111", "1"), ("112", "211"), ("121", "212"), ("122", "221"), ("2", "222")]
     )
@@ -217,7 +223,8 @@ def test_a_candidate_stops_at_its_first_repeated_image(monkeypatch):
     # e and h both fix 1, so the candidate 1 fails at the second element
     fs = [GroupElement.identity(), h, *generator_ball(2)[1:]]
     cert = independence_certificate(fs)
-    assert sum(p == ONE and any(f is g for g in fs) for f, p in calls) == 2
+    family = {id(f._interval_map) for f in fs}
+    assert sum(p == ONE and id(g) in family for g, p in calls) == 2
     assert cert.point == _separating_point_by_radius(fs)
     assert cert.verify()
 
@@ -230,3 +237,93 @@ def test_separating_point_matches_radius_search_on_seeded_families():
         p = separating_point(fs)
         assert p == _separating_point_by_radius(fs)
         assert len({act(f, p) for f in fs}) == len(fs)
+
+
+def deep_h2(k: int, side: str) -> GroupElement:
+    """The first H2 element of the radius-4 ball moved into I(side^k), the
+    identity elsewhere: only points finer than side^k tell it from e."""
+    h = [("111", "1"), ("112", "211"), ("121", "212"), ("122", "221"), ("2", "222")]
+    other = "2" if side == "1" else "1"
+    return GroupElement.from_terms(
+        [(side * i + other, side * i + other) for i in range(k)]
+        + [(side * k + a, side * k + b) for a, b in h]
+    )
+
+
+def test_certificate_matches_the_ball_reference_search(monkeypatch):
+    # a new candidate table, which the searches below extend as they need
+    table = representation._Candidates()
+    monkeypatch.setattr(representation, "_CANDIDATES", table)
+    rng = random.Random(40)
+    ball = generator_ball(4)[1:]
+    deep = [deep_h2(k, side) for k in range(3, 8) for side in "12"]
+    found, lengths = Counter(), []
+    for n in range(200):
+        radius = (3, 1, 8, 0)[n % 4]
+        fs = rng.sample(ball, rng.choice((1, 2, 4, 8, 16, 32, 48)))
+        if n % 3 == 0:  # e and a deep element agree on every coarse point
+            fs += [GroupElement.identity(), rng.choice(deep)]
+            rng.shuffle(fs)
+        want = separation_by_ball(fs, radius)
+        if want is None:
+            with pytest.raises(SearchExhausted):
+                independence_certificate(fs, radius)
+        else:
+            cert = independence_certificate(fs, radius)
+            assert (cert.point, cert.images) == want
+            assert all(type(q) is DiagonalProjection for q in (cert.point, *cert.images))
+        found[radius, want is not None] += 1
+        lengths.append(len(table.points))
+    # every radius both finds points and runs out, except 8 which always finds
+    assert all(found[r, True] and found[r, False] for r in (0, 1, 3))
+    assert found[8, True] == 50
+    # the table grows after its first extension, to beyond the radius-3 ball
+    assert lengths[0] < lengths[-1] and table.points[-1][0] > 3
+
+
+def test_an_interrupted_extension_leaves_a_prefix_of_the_walk(monkeypatch):
+    clean = representation._Candidates()
+    assert clean.get(200, 8) is not None
+    table = representation._Candidates()
+    monkeypatch.setattr(representation, "_CANDIDATES", table)
+    assert table.get(20, 8) == clean.points[20]
+    acts = 0
+
+    class Interrupted(_packed.PackedElement):
+        def act(self, n, ends):
+            nonlocal acts
+            acts += 1
+            if acts == 50:
+                raise KeyboardInterrupt
+            return super().act(n, ends)
+
+    monkeypatch.setattr(representation, "PackedElement", Interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        table.get(200, 8)
+    # the walk ended with the exception, so the table started over
+    assert table.points == []
+    assert table.get(200, 8) == clean.points[200] and table.points == clean.points[:201]
+    fs = [GroupElement.identity(), deep_h2(6, "1")]
+    assert independence_certificate(fs).point == separation_by_ball(fs, 8)[0]
+
+
+def test_concurrent_searches_extend_one_table(monkeypatch):
+    table = representation._Candidates()
+    monkeypatch.setattr(representation, "_CANDIDATES", table)
+    rng = random.Random(41)
+    ball = generator_ball(3)[1:]
+    families = [
+        rng.sample(ball, 4) + [GroupElement.identity(), deep_h2(k, side)]
+        for k in range(3, 7) for side in "12" for _ in range(2)
+    ]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads trade places inside extensions
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            points = list(pool.map(separating_point, families, timeout=120))
+    finally:
+        sys.setswitchinterval(switch)
+    assert points == [separation_by_ball(fs, 8)[0] for fs in families]
+    # no sighting lost or repeated: the table is a prefix of a walk made alone
+    alone = representation._Candidates()
+    assert alone.get(len(table.points) - 1, 8) and alone.points == table.points
