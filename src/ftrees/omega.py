@@ -76,7 +76,7 @@ class DiagonalProjection(tuple):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     __lt__ = __le__ = __gt__ = __ge__ = lambda self, other: NotImplemented
-    __add__ = __mul__ = __rmul__ = __lt__
+    __add__ = __mul__ = __rmul__ = __lt__  # and no tuple arithmetic
 
     @property
     def support(self) -> tuple[str, ...]:
