@@ -236,7 +236,8 @@ def test_orbit_negative_depth_exits_2_without_writing(capsys, tmp_path):
 
 def test_orbit_out_to_a_bad_path_exits_2_in_one_line(capsys, tmp_path):
     # exit 1 would read as "no"; a missing directory and a directory are input errors
-    for target, reason in ((tmp_path / "missing" / "f", "No such file"), (tmp_path, "Is a directory")):
+    bad = ((tmp_path / "missing" / "f", "No such file"), (tmp_path, "Is a directory"))
+    for target, reason in bad:
         code, out, err = run_cli(capsys, "orbit", "1", "--depth", "2", "--out", str(target))
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot write the orbit file: ") and reason in err

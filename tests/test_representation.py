@@ -179,7 +179,8 @@ def count_calls(monkeypatch, name: str, record) -> list:
 
 def count_acts(monkeypatch) -> list:
     """(compiled element, canonical input point) of every interval-map action."""
-    return count_calls(monkeypatch, "act", lambda g, n, ends: (g, _packed._canonical(n, list(ends))))
+    canonical = _packed._canonical
+    return count_calls(monkeypatch, "act", lambda g, n, ends: (g, canonical(n, list(ends))))
 
 
 def test_certificate_compiles_each_element_once(monkeypatch):
