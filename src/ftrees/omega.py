@@ -270,11 +270,15 @@ def realize(p: DiagonalProjection) -> GroupElement:
 
 @dataclass(frozen=True)
 class OrbitRun:
-    """Result of a breadth-first orbit sweep."""
+    """Result of a breadth-first orbit sweep: `depths` holds the points in
+    discovery order (the start, then depth by depth), and `levels` one
+    (depth, frontier, new, seconds) record per level from (0, 0, 1, 0.0),
+    whose `new` counts cut `depths` into the spheres."""
 
     depths: dict[DiagonalProjection, int]
     action_evaluations: int
     seconds: float
+    levels: list[tuple[int, int, int, float]]
 
     def projections(self) -> set[DiagonalProjection]:
         return set(self.depths)
@@ -282,29 +286,33 @@ class OrbitRun:
 
 def orbit_levels(start: DiagonalProjection, depth: int) -> OrbitRun:
     """BFS under x0^+-1, x1^+-1 with discovery depths and timing; the
-    generators are built and compiled once per process, not per call."""
+    generators are built and compiled once per process, not per call.
+    Each image is looked up as it is made, so the memory is the result
+    and two frontiers."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if omega2_member(start) is None:
         raise NotInOmega2(f"orbit start {start} is not in Omega_2")
-    gens = [g._interval_map for _, g in _generators()]
+    gens = [g._interval_map.act for _, g in _generators()]
     frontier = [start]
     seen = {start: 0}  # projections; a raw (n, ends) finds its equal-hashing key
-    actions = 0
-    t0 = time.perf_counter()
+    levels = [(0, 0, 1, 0.0)]
+    t0 = t = time.perf_counter()
     for d in range(1, depth + 1):
         if not frontier:
             break
-        produced = [g.act(n, ends) for n, ends in frontier for g in gens]
-        actions += len(produced)
         nxt = []
-        for q in produced:
-            if q not in seen:
-                q = _wrap(q)
-                seen[q] = d
-                nxt.append(q)
-        frontier = nxt
-    return OrbitRun(seen, actions, time.perf_counter() - t0)
+        for n, ends in frontier:
+            for act in gens:
+                q = act(n, ends)
+                if q not in seen:
+                    q = _wrap(q)
+                    seen[q] = d
+                    nxt.append(q)
+        now = time.perf_counter()
+        levels.append((d, len(frontier), len(nxt), now - t))
+        frontier, t = nxt, now
+    return OrbitRun(seen, 4 * sum(r[1] for r in levels), t - t0, levels)
 
 
 def orbit(start: DiagonalProjection, depth: int) -> set[DiagonalProjection]:

@@ -250,6 +250,18 @@ def test_orbit_out_to_a_bad_path_exits_2_in_one_line(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_a_long_error_message_is_cut_to_one_bounded_line(capsys):
+    word = "1" * 3000
+    code, out, err = run_cli(capsys, "separate", f"1:1 + {word}:2")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.endswith(" characters)\n")
+    assert err.startswith("error: range side: not an antichain: ('1', '111")
+    assert " ... (cut from 3" in err and len(err) < 260
+    # a message of at most 200 characters is printed whole
+    code, _, err = run_cli(capsys, "separate", "1:1 + 11:2")
+    assert (code, err) == (2, "error: range side: not an antichain: ('1', '11')\n")
+
+
 def test_boundary_subcommands(capsys):
     pair = json.dumps(
         {

@@ -398,6 +398,33 @@ def test_orbit_sphere_sizes():
     assert run.action_evaluations == 58860 == 4 * (37720 - 23005)
 
 
+def test_orbit_levels_record_each_sphere():
+    run = orbit_levels(ONE, 10)
+    assert [r[0] for r in run.levels] == list(range(11))
+    new = [r[2] for r in run.levels]
+    assert new == [1, 4, 10, 27, 76, 197, 522, 1364, 3515, 8999, 23005]
+    # each level expands the one before it, four actions a point
+    assert [r[1] for r in run.levels] == [0] + new[:-1]
+    assert run.action_evaluations == 4 * sum(r[1] for r in run.levels)
+    assert all(r[3] >= 0 for r in run.levels) and run.levels[0] == (0, 0, 1, 0.0)
+    assert sum(r[3] for r in run.levels) == pytest.approx(run.seconds)
+    # depths holds the points in discovery order, so the counts cut it into spheres
+    assert list(run.depths.values()) == [d for d, n in enumerate(new) for _ in range(n)]
+
+
+def test_orbit_levels_peak_memory_is_the_result():
+    # each image is looked up as it is made: no whole level of images is held
+    orbit_levels(ONE, 2)  # the generators are compiled once per process
+    tracemalloc.start()
+    try:
+        run = orbit_levels(ONE, 9)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(run.depths) == 14715
+    assert peak - kept < 512 * 1024
+
+
 def test_standard_generators_are_built_once():
     first, second = standard_generators(), standard_generators()
     assert first is not second
@@ -524,6 +551,9 @@ def test_reading_support_keeps_no_words():
     # the words of each point are made on every read and dropped with it
     run = orbit_levels(ONE, 8)
     assert len(run.depths) == 5716
+    # an untraced pass first fills CPython's free lists (of tuples, say): the
+    # memory they hold after the traced pass would otherwise count as kept
+    sum(len(p.support) for p in run.depths)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
