@@ -316,15 +316,12 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     run = omega.orbit_levels(start, args.depth)
     header = {"generators": [name for name, _ in _generators()], "start": str(start),
               "depth": args.depth, "count": len(run.depths)}
-
-    def write(fh) -> None:  # level by level, each sorted by its text
+    def write(fh) -> None:  # the levels in turn, each sorted by its text
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        points = iter(run.depths)  # discovery order: the levels one after another
-        for d, _, new, _ in run.levels:
-            # "P[", "]", "+" and digits need no JSON escaping: the bytes of json.dumps
+        points = iter(run.depths)  # in discovery order, level after level
+        for d, _, new, _ in run.levels:  # the text of p needs no JSON escaping
             fh.writelines(f'{{"depth": {d}, "p": "{p}"}}\n'
                           for p in sorted(map(str, itertools.islice(points, new))))
-
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -333,7 +330,11 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
             raise ValueError(f"cannot write the orbit file: {exc}") from exc
         print(f"{len(run.depths)} projections")
     else:
-        write(sys.stdout)
+        try:
+            write(sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader stopped early, as `| head` does: no error
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

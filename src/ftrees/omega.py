@@ -270,10 +270,9 @@ def realize(p: DiagonalProjection) -> GroupElement:
 
 @dataclass(frozen=True)
 class OrbitRun:
-    """Result of a breadth-first orbit sweep: `depths` holds the points in
-    discovery order (the start, then depth by depth), and `levels` one
-    (depth, frontier, new, seconds) record per level from (0, 0, 1, 0.0),
-    whose `new` counts cut `depths` into the spheres."""
+    """Result of a breadth-first orbit sweep.  `depths` is in discovery
+    order, the start and then depth by depth, which `levels` cuts into
+    spheres: one (depth, frontier, new, seconds) record a level."""
 
     depths: dict[DiagonalProjection, int]
     action_evaluations: int
@@ -286,9 +285,8 @@ class OrbitRun:
 
 def orbit_levels(start: DiagonalProjection, depth: int) -> OrbitRun:
     """BFS under x0^+-1, x1^+-1 with discovery depths and timing; the
-    generators are built and compiled once per process, not per call.
-    Each image is looked up as it is made, so the memory is the result
-    and two frontiers."""
+    generators are compiled once per process, and each image is looked up
+    as it is made, so the memory is the result and two frontiers."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if omega2_member(start) is None:
@@ -296,7 +294,7 @@ def orbit_levels(start: DiagonalProjection, depth: int) -> OrbitRun:
     gens = [g._interval_map.act for _, g in _generators()]
     frontier = [start]
     seen = {start: 0}  # projections; a raw (n, ends) finds its equal-hashing key
-    levels = [(0, 0, 1, 0.0)]
+    levels, actions = [(0, 0, 1, 0.0)], 0
     t0 = t = time.perf_counter()
     for d in range(1, depth + 1):
         if not frontier:
@@ -311,8 +309,9 @@ def orbit_levels(start: DiagonalProjection, depth: int) -> OrbitRun:
                     nxt.append(q)
         now = time.perf_counter()
         levels.append((d, len(frontier), len(nxt), now - t))
+        actions += len(gens) * len(frontier)
         frontier, t = nxt, now
-    return OrbitRun(seen, 4 * sum(r[1] for r in levels), t - t0, levels)
+    return OrbitRun(seen, actions, t - t0, levels)
 
 
 def orbit(start: DiagonalProjection, depth: int) -> set[DiagonalProjection]:

@@ -250,6 +250,19 @@ def test_orbit_out_to_a_bad_path_exits_2_in_one_line(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_orbit_to_a_reader_that_stops_early_exits_0_quietly():
+    # the orbit is written level by level, so `| head` closes the pipe mid-write
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with subprocess.Popen(
+        [sys.executable, "-m", "ftrees.cli", "orbit", "1", "--depth", "9"],
+        env={"PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.read(100).startswith(b'{"count": 14715, "depth": 9')
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+
+
 def test_a_long_error_message_is_cut_to_one_bounded_line(capsys):
     word = "1" * 3000
     code, out, err = run_cli(capsys, "separate", f"1:1 + {word}:2")
