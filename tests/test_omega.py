@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import operator
 import pickle
 import random
@@ -551,13 +552,14 @@ def test_reading_support_keeps_no_words():
     # the words of each point are made on every read and dropped with it
     run = orbit_levels(ONE, 8)
     assert len(run.depths) == 5716
-    # an untraced pass first fills CPython's free lists (of tuples, say): the
-    # memory they hold after the traced pass would otherwise count as kept
-    sum(len(p.support) for p in run.depths)
     tracemalloc.start()
     try:
+        # a full collection empties CPython's free lists (of tuples, say), whose
+        # blocks would otherwise count as kept although they hold no word
+        gc.collect()
         before = tracemalloc.get_traced_memory()[0]
         words = sum(len(p.support) for p in run.depths)
+        gc.collect()
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
