@@ -272,7 +272,9 @@ def realize(p: DiagonalProjection) -> GroupElement:
 class OrbitRun:
     """Result of a breadth-first orbit sweep.  `depths` is in discovery
     order, the start and then depth by depth, which `levels` cuts into
-    spheres: one (depth, frontier, new, seconds) record a level."""
+    spheres: one (depth, frontier, new, seconds) record a level.  `action_evaluations`
+    counts the (point, generator) pairs resolved, four per expanded point; the
+    step back to a point's parent is answered by the group law, not computed."""
 
     depths: dict[DiagonalProjection, int]
     action_evaluations: int
@@ -286,31 +288,36 @@ class OrbitRun:
 def orbit_levels(start: DiagonalProjection, depth: int) -> OrbitRun:
     """BFS under x0^+-1, x1^+-1 with discovery depths and timing; the
     generators are compiled once per process, and each image is looked up
-    as it is made, so the memory is the result and two frontiers."""
+    as it is made, so the memory is the result and two frontiers.  A point
+    found by gens[i] skips gens[i ^ 1], its inverse in the order x0, x0^-1,
+    x1, x1^-1: that image is its parent, already seen."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if omega2_member(start) is None:
         raise NotInOmega2(f"orbit start {start} is not in Omega_2")
     gens = [g._interval_map.act for _, g in _generators()]
-    frontier = [start]
+    frontier, back = [start], bytearray([4])  # each point's step to its parent; the start has none
     seen = {start: 0}  # projections; a raw (n, ends) finds its equal-hashing key
     levels, actions = [(0, 0, 1, 0.0)], 0
     t0 = t = time.perf_counter()
     for d in range(1, depth + 1):
         if not frontier:
             break
-        nxt = []
-        for n, ends in frontier:
-            for act in gens:
+        nxt, nxt_back = [], bytearray()
+        for (n, ends), skip in zip(frontier, back):
+            for i, act in enumerate(gens):
+                if i == skip:  # the parent, already in `seen`
+                    continue
                 q = act(n, ends)
                 if q not in seen:
                     q = _wrap(q)
                     seen[q] = d
                     nxt.append(q)
+                    nxt_back.append(i ^ 1)
         now = time.perf_counter()
         levels.append((d, len(frontier), len(nxt), now - t))
         actions += len(gens) * len(frontier)
-        frontier, t = nxt, now
+        frontier, back, t = nxt, nxt_back, now
     return OrbitRun(seen, actions, t - t0, levels)
 
 

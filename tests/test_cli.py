@@ -263,6 +263,25 @@ def test_orbit_to_a_reader_that_stops_early_exits_0_quietly():
         assert proc.stderr.read() == b""
 
 
+class FullStdout(io.StringIO):
+    """A stdout on a full disk: every write fails."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_a_failed_stdout_write_exits_2_in_one_line(capsys, monkeypatch):
+    # exit 1 would read as "no" to the membership question
+    cases = (("trace", "P[111]+P[2]"), ("member", "--set", "f", "11:1+12:21+2:22"))
+    for argv in cases:
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        code = main(list(argv))
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err == "error: cannot write the output: [Errno 28] No space left on device\n"
+
+
 def test_a_long_error_message_is_cut_to_one_bounded_line(capsys):
     word = "1" * 3000
     code, out, err = run_cli(capsys, "separate", f"1:1 + {word}:2")

@@ -88,21 +88,27 @@ def random_tree_pair(rng: random.Random, leaves: int) -> GroupElement:
     return GroupElement.from_terms(zip(*trees))
 
 
-def naive_orbit(start: DiagonalProjection, depth: int) -> set[DiagonalProjection]:
-    """Breadth-first orbit under x0^+-1, x1^+-1 through the oracle action."""
+def naive_orbit_depths(start: DiagonalProjection, depth: int) -> dict[DiagonalProjection, int]:
+    """Breadth-first discovery depths under x0^+-1, x1^+-1 through the
+    oracle action, in discovery order; every generator acts on every point."""
     gens = [g for _, g in standard_generators()]
-    seen = {start}
+    depths = {start: 0}
     frontier = [start]
-    for _ in range(depth):
+    for d in range(1, depth + 1):
         nxt = []
         for p in frontier:
             for g in gens:
                 q = act_by_transport(g, p)
-                if q not in seen:
-                    seen.add(q)
+                if q not in depths:
+                    depths[q] = d
                     nxt.append(q)
         frontier = nxt
-    return seen
+    return depths
+
+
+def naive_orbit(start: DiagonalProjection, depth: int) -> set[DiagonalProjection]:
+    """Breadth-first orbit under x0^+-1, x1^+-1 through the oracle action."""
+    return set(naive_orbit_depths(start, depth))
 
 
 def assert_realizes(p: DiagonalProjection) -> None:
@@ -385,6 +391,42 @@ def test_orbit_from_deep_start():
     got = orbit_levels(start, 3).projections()
     assert time.perf_counter() - t0 < 1.0
     assert got == naive_orbit(start, 3)
+
+
+def test_orbit_depths_match_the_oracle_bfs():
+    rng = random.Random(18)
+    for level in (2, 3, 4, 5, 6, 8, 9, 11, 12, 14):
+        while True:  # an admissible start whose canonical level is `level`
+            start = DiagonalProjection(random_antichain(rng, level))
+            if start.n == level and omega2_member(start) is not None:
+                break
+        depth = 1 + level % 3
+        got, want = orbit_levels(start, depth).depths, naive_orbit_depths(start, depth)
+        assert got == want
+        # discovery order too: the start, then depth by depth
+        assert list(got.items()) == list(want.items())
+        assert list(got.values()) == sorted(got.values())
+
+
+def test_orbit_skips_the_step_back_to_the_parent(monkeypatch):
+    # the skip rests on the generator order: gens[i ^ 1] is the inverse of gens[i]
+    gens = [g for _, g in standard_generators()]
+    assert all(multiply(gens[i], gens[i ^ 1]).is_identity() for i in range(4))
+    orbit_levels(ONE, 1)  # the generators are compiled once per process
+    calls = 0
+    act_on_intervals = _packed.PackedElement.act
+
+    def counting_act(self, n, ends):
+        nonlocal calls
+        calls += 1
+        return act_on_intervals(self, n, ends)
+
+    monkeypatch.setattr(_packed.PackedElement, "act", counting_act)
+    for depth, images, pairs, expanded in ((10, 44146, 58860, 14715), (3, 46, 60, 15)):
+        calls = 0
+        assert orbit_levels(ONE, depth).action_evaluations == pairs
+        # four pairs a point, but every point but the start skips its parent
+        assert calls == images == pairs - (expanded - 1)
 
 
 def test_orbit_sphere_sizes():
