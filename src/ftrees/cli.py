@@ -34,7 +34,7 @@ MAX_ERROR_CHARS = 200
 def _check_depth(depth: int) -> None:
     """Reject a depth above the FTREES_MAX_DEPTH cap (default 12).  At the
     cap, `orbit 1 --depth 12 --out f` writes 243,539 points (18.2 MB) in
-    about 5.6 s at 100 MB peak RSS (Python 3.11.7, 2 vCPUs)."""
+    about 5.7 s at 100 MB peak RSS (Python 3.11.7, 2 vCPUs)."""
     raw = os.environ.get("FTREES_MAX_DEPTH", "12")
     try:
         cap = int(raw)

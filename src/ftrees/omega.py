@@ -296,7 +296,7 @@ def orbit_levels(start: DiagonalProjection, depth: int) -> OrbitRun:
     if omega2_member(start) is None:
         raise NotInOmega2(f"orbit start {start} is not in Omega_2")
     gens = [g._interval_map.act for _, g in _generators()]
-    frontier, back = [start], bytearray([4])  # each point's step to its parent; the start has none
+    frontier, back = [start], bytearray([4])  # each point's generator back to its parent; 4: none
     seen = {start: 0}  # projections; a raw (n, ends) finds its equal-hashing key
     levels, actions = [(0, 0, 1, 0.0)], 0
     t0 = t = time.perf_counter()

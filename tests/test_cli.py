@@ -274,9 +274,9 @@ def test_a_failed_stdout_write_exits_2_in_one_line(capsys, monkeypatch):
     # exit 1 would read as "no" to the membership question
     cases = (("trace", "P[111]+P[2]"), ("member", "--set", "f", "11:1+12:21+2:22"))
     for argv in cases:
-        monkeypatch.setattr(sys, "stdout", FullStdout())
-        code = main(list(argv))
-        monkeypatch.undo()
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stdout", FullStdout())
+            code = main(list(argv))
         err = capsys.readouterr().err
         assert code == 2 and err.count("\n") == 1
         assert err == "error: cannot write the output: [Errno 28] No space left on device\n"
