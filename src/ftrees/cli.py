@@ -44,6 +44,16 @@ def _check_depth(depth: int) -> None:
         raise ValueError(f"depth {depth} exceeds FTREES_MAX_DEPTH={cap}")
 
 
+def _drop_stdout() -> None:
+    """Point stdout at os.devnull after a failed write: the flush at exit
+    would fail again on the bytes left in its buffer (exit status 120)."""
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # an in-memory stdout has no descriptor and no exit flush
+        return
+    os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+
+
 def _json_object(text: str, *keys: str) -> dict:
     """The JSON object in `text`; it must hold every key in `keys`."""
     try:
@@ -334,7 +344,7 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
             write(sys.stdout)
             sys.stdout.flush()
         except BrokenPipeError:  # the reader stopped early, as `| head` does: no error
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _drop_stdout()
     return 0
 
 
@@ -408,6 +418,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         sys.stdout.flush()  # in the try: a failed write must not read as an answer
         return code
     except OSError as exc:  # stdout failed, as on a full disk
+        _drop_stdout()
         msg = f"cannot write the output: {exc}"
     except (ValueError, KeyError, representation.SearchExhausted) as exc:
         msg = str(exc)

@@ -263,6 +263,24 @@ def test_orbit_to_a_reader_that_stops_early_exits_0_quietly():
         assert proc.stderr.read() == b""
 
 
+def test_a_full_disk_on_stdout_exits_2_in_one_line_in_a_real_process():
+    # a buffered stdout keeps the unwritten bytes, so the interpreter's flush
+    # at exit would fail again (a second message, exit status 120)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    cases = (("trace", "P[111]+P[2]"), ("member", "--set", "f", "11:1+12:21+2:22"),
+             ("orbit", "1", "--depth", "6"))
+    for argv in cases:
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ftrees.cli", *argv], env={"PYTHONPATH": src},
+                stdout=full, stderr=subprocess.PIPE, timeout=60,
+            )
+        assert proc.returncode == 2, argv
+        assert proc.stderr == (
+            b"error: cannot write the output: [Errno 28] No space left on device\n"
+        ), argv
+
+
 class FullStdout(io.StringIO):
     """A stdout on a full disk: every write fails."""
 
