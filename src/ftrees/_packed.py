@@ -175,11 +175,9 @@ class PackedElement:
             table = self._tables[k] = [
                 (lo << k, hi << k, s, c << k, even) for lo, hi, s, c, even in self._tables[0]
             ]
-        comp = None
+        comp = (0, *ends, 1 << (self.base + k))  # 1 - p
         out: list[int] = []
         for lo, hi, s, c, even in table:
-            if not even and comp is None:
-                comp = (0, *ends, 1 << (self.base + k))
             src = ends if even else comp
             j = bisect_right(src, lo) & -2
             last = len(src)

@@ -28,13 +28,18 @@ from .words import word_to_str
 MAX_GENERATOR_INDEX = 64
 # `unnf` multiplies its word out letter by letter, which is quadratic
 MAX_UNNF_LETTERS = 1000
+# `realize` and `act` print the atoms of p and 1 - p, about len(ends) * n^2 letters
+# at level n.  At the cap, P[1^1448] takes 0.15 s and 21 MB and prints 1.4 MB; 1,024
+# intervals at level 45 take about 1 s and 82 MB and print 4.5 MB (Python 3.11.7, 2 vCPUs)
+MAX_PROJECTION_SIZE = 1 << 22
 MAX_ERROR_CHARS = 200
 
 
 def _check_depth(depth: int) -> None:
     """Reject a depth above the FTREES_MAX_DEPTH cap (default 12).  At the
-    cap, `orbit 1 --depth 12 --out f` writes 243,539 points (18.2 MB) in
-    about 5.7 s at 100 MB peak RSS (Python 3.11.7, 2 vCPUs)."""
+    cap, from the start 1, `orbit 1 --depth 12 --out f` writes 243,539
+    points (18.2 MB) in about 5.7 s at 100 MB peak RSS (Python 3.11.7,
+    2 vCPUs); a deeper start costs more."""
     raw = os.environ.get("FTREES_MAX_DEPTH", "12")
     try:
         cap = int(raw)
@@ -42,6 +47,13 @@ def _check_depth(depth: int) -> None:
         raise ValueError(f"FTREES_MAX_DEPTH={raw!r} is not an integer")
     if depth > cap:
         raise ValueError(f"depth {depth} exceeds FTREES_MAX_DEPTH={cap}")
+
+
+def _capped(p: DiagonalProjection) -> DiagonalProjection:
+    """p, unless len(p.ends) * p.n^2 is above MAX_PROJECTION_SIZE."""
+    if len(p.ends) * p.n ** 2 > MAX_PROJECTION_SIZE:
+        raise ValueError(f"{len(p.ends)} ends * level {p.n}^2 exceed cap {MAX_PROJECTION_SIZE}")
+    return p
 
 
 def _drop_stdout() -> None:
@@ -282,7 +294,7 @@ def _cmd_member(args: argparse.Namespace) -> int:
 @_command("act", "coset action f . p", "element", "projection")
 def _cmd_act(args: argparse.Namespace) -> int:
     f = parse_element(args.element, args.json)
-    p = parse_projection(args.projection, args.json)
+    p = _capped(parse_projection(args.projection, args.json))
     print(format_projection(omega.act(f, p), args.json))
     return 0
 
@@ -312,7 +324,7 @@ def _cmd_omega2(args: argparse.Namespace) -> int:
 
 @_command("realize", "element realizing a projection as f . 1", "projection")
 def _cmd_realize(args: argparse.Namespace) -> int:
-    p = parse_projection(args.projection, args.json)
+    p = _capped(parse_projection(args.projection, args.json))
     print(format_element(omega.realize(p), args.json))
     return 0
 

@@ -214,9 +214,8 @@ def multiply(u: GroupElement, w: GroupElement) -> GroupElement:
 
 
 def inverse(u: GroupElement) -> GroupElement:
-    """Swap alpha and beta in every term; reducedness is preserved."""
-    swapped = [(lb, vb, la, va) for la, va, lb, vb in u._quads]
-    return _element(tuple(swapped if is_order_preserving(u) else _sorted(swapped, 0)))
+    """Swap alpha and beta in every term and sort by alpha; reducedness is preserved."""
+    return _element(tuple(_sorted([(lb, vb, la, va) for la, va, lb, vb in u._quads], 0)))
 
 
 def is_order_preserving(u: GroupElement) -> bool:

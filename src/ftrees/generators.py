@@ -217,19 +217,17 @@ def standard_generators() -> list[tuple[str, GroupElement]]:
     return list(_generators())
 
 
-def _ball_walk(radius: int, sizes: list[int] | None = None) -> Iterator[GroupElement]:
-    """Distinct elements of word length <= radius over x0^+-1, x1^+-1,
-    yielded lazily in breadth-first discovery order (deterministic); each
-    finished ball's size goes to `sizes`, if given: its length is the radius."""
+def _ball_walk(radius: int) -> Iterator[tuple[int, GroupElement]]:
+    """(r, g) for the distinct elements g of word length <= radius over
+    x0^+-1, x1^+-1, r the word length of g, yielded lazily in breadth-first
+    discovery order (deterministic)."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     gens = [g for _, g in _generators()]
     frontier = [GroupElement.identity()]
     seen = {frontier[0]}
-    yield frontier[0]
-    for _ in range(radius):
-        if sizes is not None:
-            sizes.append(len(seen))
+    yield 0, frontier[0]
+    for r in range(1, radius + 1):
         nxt: list[GroupElement] = []
         for f in frontier:
             for g in gens:
@@ -237,11 +235,11 @@ def _ball_walk(radius: int, sizes: list[int] | None = None) -> Iterator[GroupEle
                 if h not in seen:
                     seen.add(h)
                     nxt.append(h)
-                    yield h
+                    yield r, h
         frontier = nxt
 
 
 def generator_ball(radius: int) -> list[GroupElement]:
     """Distinct elements of word length <= radius over x0^+-1, x1^+-1,
     in breadth-first discovery order (deterministic)."""
-    return list(_ball_walk(radius))
+    return [g for _, g in _ball_walk(radius)]

@@ -301,8 +301,6 @@ def orbit_levels(start: DiagonalProjection, depth: int) -> OrbitRun:
     levels, actions = [(0, 0, 1, 0.0)], 0
     t0 = t = time.perf_counter()
     for d in range(1, depth + 1):
-        if not frontier:
-            break
         nxt, nxt_back = [], bytearray()
         for (n, ends), skip in zip(frontier, back):
             for i, act in enumerate(gens):

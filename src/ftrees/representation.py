@@ -72,27 +72,29 @@ def apply(f: GroupElement, v: FormalVector) -> FormalVector:
 class _Candidates:
     """The points g . 1, g along one breadth-first walk of the generator
     ball, as (radius, (n, ends)) at first sighting in walk order: a group
-    constant, walked once per process as far as searches ask.  `points` is
-    only ever a prefix of the sightings: it grows under a lock, and an
-    exception, which ends the walk, starts it over.  Through radius 8 it
-    holds 5,716 points and the walk's 11,237 elements: 12.1 MB in all, of
-    which the points and their set take 1.8 MB (tracemalloc, Python 3.11)."""
+    constant, walked once per process as far as searches ask.  The walk
+    yields each g with its radius, and `_radius` keeps the last one read.
+    `points` is only ever a prefix of the sightings: it grows under a lock,
+    and an exception, which ends the walk, starts it over.  Through radius
+    8 it holds 5,716 points and the walk's 11,237 elements: 12.1 MB in all,
+    of which the points and their set take 1.8 MB (tracemalloc, Python 3.11)."""
 
     _lock = threading.Lock()  # one for every table
 
     def __init__(self) -> None:
-        self.points, self._seen, self._sizes = [], set(), []  # len(_sizes): the radius walked
-        self._walk = _ball_walk(sys.maxsize, self._sizes)
+        self.points, self._seen, self._radius = [], set(), 0
+        self._walk = _ball_walk(sys.maxsize)
 
     def get(self, i: int, radius: int) -> tuple | None:
         """Entry i, or None if the walk passes `radius` before it."""
         with self._lock:
             try:
-                while len(self.points) <= i and len(self._sizes) <= radius:
-                    p = PackedElement(next(self._walk)._quads).act(0, (0, 1))  # g keeps no map
+                while len(self.points) <= i and self._radius <= radius:
+                    self._radius, g = next(self._walk)
+                    p = PackedElement(g._quads).act(0, (0, 1))  # g keeps no map
                     if p not in self._seen:
                         self._seen.add(p)
-                        self.points.append((len(self._sizes), p))
+                        self.points.append((self._radius, p))
             except BaseException:
                 self.__init__()
                 raise

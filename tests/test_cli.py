@@ -125,6 +125,14 @@ def test_mul_worked_product(capsys):
     )
     assert code == 0
     assert out.strip() == "1111:11 + 1112:121 + 112:122 + 121:21 + 122:221 + 2:222"
+    x0 = "11:1 + 12:21 + 2:22"
+    assert run_cli(capsys, "inv", x0)[:2] == (0, "1:11 + 21:12 + 22:2\n")
+    for terms in ("2:22 + 11:1 + 12:21", "111:11 + 112:12 + 12:21 + 2:22"):
+        assert run_cli(capsys, "reduce", terms)[:2] == (0, x0 + "\n")
+    x0_json = json.dumps({"terms": [["11", "1"], ["12", "21"], ["2", "22"]]})
+    assert run_cli(capsys, "--json", "inv", x0_json)[:2] == (
+        0, '{"terms": [["1", "11"], ["21", "12"], ["22", "2"]]}\n'
+    )
 
 
 def test_act_and_trace(capsys):
@@ -155,6 +163,7 @@ def test_unnf_letter_cap_exits_2(capsys):
     code, out, err = run_cli(capsys, "unnf", word)
     assert (code, out) == (2, "")
     assert err == f"error: {MAX_UNNF_LETTERS + 1} letters exceed cap {MAX_UNNF_LETTERS}\n"
+    assert run_cli(capsys, "unnf", "x65") == (2, "", "error: generator index 65 exceeds cap 64\n")
 
 
 def test_member_exit_codes(capsys):
@@ -353,6 +362,19 @@ def test_pair_depth_cap_exits_2(capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_deep_projection_cap_exits_2(capsys):
+    # the witness of P[1^n] has Theta(n^2) letters, and so has x0 . P[1^n]
+    deep = "P[" + "1" * 100_000 + "]"
+    t0 = time.perf_counter()
+    for argv in (["realize", deep], ["act", "11:1 + 12:21 + 2:22", deep]):
+        error = "error: 2 ends * level 100000^2 exceed cap 4194304\n"
+        assert run_cli(capsys, *argv) == (2, "", error), argv[0]
+    assert time.perf_counter() - t0 < 1.0
+    # 2 * 1448^2 is just under the cap, 2 * 1449^2 just over it
+    assert run_cli(capsys, "act", "e:e", "P[" + "1" * 1448 + "]")[0] == 0
+    assert run_cli(capsys, "act", "e:e", "P[" + "1" * 1449 + "]")[0] == 2
+
+
 # three faults: '2' is a leaf above the cut, '222' and '2111' lie below it
 FAULTY_WINDOW = json.dumps(
     {
@@ -475,6 +497,12 @@ def test_error_diagnostics(capsys):
     code, out, err = run_cli(capsys, "mul", "11:1", "e:e")
     assert code == 2
     assert err.startswith("error:")
+    assert run_cli(capsys, "mul", "11:1 +  + 2:22", "e:e") == (
+        2, "", "error: empty term in element syntax\n"
+    )
+    assert run_cli(capsys, "act", "e:e", "Q[1]") == (
+        2, "", "error: projection term 'Q[1]' is not of the form P[word]\n"
+    )
     assert run_cli(capsys, "nf", "22:1 + 1:21 + 21:22")[0] == 2
     assert run_cli(capsys, "witness", json.dumps(
         {"depth": 1, "left": ["e", "1", "2"], "right": []}

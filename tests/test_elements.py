@@ -414,6 +414,9 @@ def test_multiply_identity_and_inverse():
         assert multiply(f, inverse(f)).is_identity()
         assert multiply(inverse(f), f).is_identity()
         assert inverse(inverse(f)).terms == f.terms
+    x1 = gen_x(1)
+    assert X0 * x1 == multiply(X0, x1)
+    assert ~X0 == inverse(X0)
 
 
 def test_inverse_golden():

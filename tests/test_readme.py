@@ -58,4 +58,4 @@ def test_cli_examples_print_what_their_comments_say():
     ]
     for command, comment in examples:
         assert run_line(shlex.split(command)) == comment.split(",")[0].strip(), command
-    assert len(examples) == 4
+    assert len(examples) == 5

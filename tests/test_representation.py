@@ -76,10 +76,16 @@ def test_ball_walk_is_the_generator_ball():
     sizes = []
     for r in range(5):
         ball = generator_ball(r)
-        assert [f.terms for f in ball] == [f.terms for f in _ball_walk(r)]
+        assert [f.terms for f in ball] == [f.terms for _, f in _ball_walk(r)]
         assert len({f.terms for f in ball}) == len(ball)
         sizes.append(len(ball))
     assert sizes == [1, 5, 17, 53, 161]
+    # each element comes with its word length: the radius of the first ball holding it
+    balls = [set(generator_ball(r)) for r in range(5)]
+    radii = [r for r, _ in _ball_walk(4)]
+    assert radii == sorted(radii)
+    for r, f in _ball_walk(4):
+        assert r == next(s for s in range(5) if f in balls[s])
 
 
 def test_separating_point_matches_radius_search():
