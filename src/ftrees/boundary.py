@@ -123,13 +123,9 @@ class TreeTruncation:
         return TreeTruncation.of_projection(self.cells, depth)
 
     def sorted_vertices(self) -> list[str]:
-        """The vertices in (length, lex) order: the frontier cells, left to
-        right, below the parents of each level."""
-        k = self.depth
-        levels = [[_packed.word(k, c) for c in _cells(self.cells, k)]]
-        while levels[-1] and levels[-1][0]:  # up to the root, if any
-            levels.append(list(dict.fromkeys(v[:-1] for v in levels[-1])))
-        return [v for level in reversed(levels) for v in level]
+        """The vertices in (length, lex) order: level j lists the 2^-j cells
+        that meet `cells`, left to right."""
+        return [_packed.word(j, c) for j in range(self.depth + 1) for c in _cells(self.cells, j)]
 
     def __str__(self) -> str:
         return "{" + ", ".join(word_to_str(v) for v in self.sorted_vertices()) + "}"

@@ -32,6 +32,10 @@ MAX_UNNF_LETTERS = 1000
 # at level n.  At the cap, P[1^1448] takes 0.15 s and 21 MB and prints 1.4 MB; 1,024
 # intervals at level 45 take about 1 s and 82 MB and print 4.5 MB (Python 3.11.7, 2 vCPUs)
 MAX_PROJECTION_SIZE = 1 << 22
+# `orbit` prints up to about 3^depth points of len(ends) * n^2 letters from a level-n start.
+# The cap admits every start two steps from 1 at depth 12; at the cap, P[1122]+P[1211]+P[2122]+
+# P[2211] to depth 12 takes 8-14 s and 231 MB and writes 52.5 MB (Python 3.11.7, 2 vCPUs)
+MAX_ORBIT_SIZE = 64 * 3 ** 12
 MAX_ERROR_CHARS = 200
 
 
@@ -39,7 +43,7 @@ def _check_depth(depth: int) -> None:
     """Reject a depth above the FTREES_MAX_DEPTH cap (default 12).  At the
     cap, from the start 1, `orbit 1 --depth 12 --out f` writes 243,539
     points (18.2 MB) in about 5.7 s at 100 MB peak RSS (Python 3.11.7,
-    2 vCPUs); a deeper start costs more."""
+    2 vCPUs); a deeper start costs more, up to MAX_ORBIT_SIZE."""
     raw = os.environ.get("FTREES_MAX_DEPTH", "12")
     try:
         cap = int(raw)
@@ -98,7 +102,7 @@ def parse_element(text: str, as_json: bool = False) -> GroupElement:
             isinstance(t, list) and len(t) == 2 for t in terms
         ):
             raise ValueError("terms must be a JSON list of [alpha, beta] pairs")
-        return GroupElement.from_terms(_json_words(t, "a term") for t in terms)
+        return validate_unitary([Term(*_json_words(t, "a term")) for t in terms])
     terms = []
     for chunk in text.split("+"):
         chunk = chunk.strip()
@@ -335,6 +339,9 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 def _cmd_orbit(args: argparse.Namespace) -> int:
     _check_depth(args.depth)
     start = parse_projection(args.start, args.json)
+    if len(start.ends) * start.n ** 2 * 3 ** max(args.depth, 0) > MAX_ORBIT_SIZE:
+        raise ValueError(f"{len(start.ends)} ends * level {start.n}^2 * 3^{args.depth} "
+                         f"exceed cap {MAX_ORBIT_SIZE}")
     run = omega.orbit_levels(start, args.depth)
     header = {"generators": [name for name, _ in _generators()], "start": str(start),
               "depth": args.depth, "count": len(run.depths)}

@@ -211,12 +211,6 @@ def _generators() -> tuple[tuple[str, GroupElement], ...]:
     return (("x0", x0), ("x0^-1", inverse(x0)), ("x1", x1), ("x1^-1", inverse(x1)))
 
 
-def standard_generators() -> list[tuple[str, GroupElement]]:
-    """x0, x0^-1, x1, x1^-1 with display names, in canonical order: a new
-    list of elements built once per process, so each compiles once."""
-    return list(_generators())
-
-
 def _ball_walk(radius: int) -> Iterator[tuple[int, GroupElement]]:
     """(r, g) for the distinct elements g of word length <= radius over
     x0^+-1, x1^+-1, r the word length of g, yielded lazily in breadth-first

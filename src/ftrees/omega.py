@@ -159,8 +159,6 @@ def h2_member(f: GroupElement) -> bool:
 
 def coset_invariant(f: GroupElement) -> DiagonalProjection:
     """The projection f_0 f_0* determining the coset of f; equals f . 1."""
-    if not is_order_preserving(f):
-        raise NotInF("cosets of H_2 are defined in F")
     return act(f, ONE)
 
 
@@ -281,9 +279,6 @@ class OrbitRun:
     seconds: float
     levels: list[tuple[int, int, int, float]]
 
-    def projections(self) -> set[DiagonalProjection]:
-        return set(self.depths)
-
 
 def orbit_levels(start: DiagonalProjection, depth: int) -> OrbitRun:
     """BFS under x0^+-1, x1^+-1 with discovery depths and timing; the
@@ -322,4 +317,4 @@ def orbit_levels(start: DiagonalProjection, depth: int) -> OrbitRun:
 def orbit(start: DiagonalProjection, depth: int) -> set[DiagonalProjection]:
     """All projections reachable from `start` in at most `depth` generator
     applications."""
-    return orbit_levels(start, depth).projections()
+    return set(orbit_levels(start, depth).depths)

@@ -72,33 +72,33 @@ def apply(f: GroupElement, v: FormalVector) -> FormalVector:
 class _Candidates:
     """The points g . 1, g along one breadth-first walk of the generator
     ball, as (radius, (n, ends)) at first sighting in walk order: a group
-    constant, walked once per process as far as searches ask.  The walk
-    yields each g with its radius, and `_radius` keeps the last one read.
-    `points` is only ever a prefix of the sightings: it grows under a lock,
-    and an exception, which ends the walk, starts it over.  Through radius
-    8 it holds 5,716 points and the walk's 11,237 elements: 12.1 MB in all,
-    of which the points and their set take 1.8 MB (tracemalloc, Python 3.11)."""
+    constant, walked once per process as far as searches ask.  The ball is
+    infinite, so every entry exists.  `points` is only ever a prefix of the
+    sightings: it grows under a lock, and an exception, which ends the walk,
+    starts it over.  Through radius 8 it holds 5,716 points and the walk's
+    11,237 elements: 12.1 MB in all, of which the points and their set take
+    1.8 MB (tracemalloc, Python 3.11)."""
 
     _lock = threading.Lock()  # one for every table
 
     def __init__(self) -> None:
-        self.points, self._seen, self._radius = [], set(), 0
+        self.points, self._seen = [], set()
         self._walk = _ball_walk(sys.maxsize)
 
-    def get(self, i: int, radius: int) -> tuple | None:
-        """Entry i, or None if the walk passes `radius` before it."""
+    def get(self, i: int) -> tuple:
+        """Entry i, walking on until it exists."""
         with self._lock:
             try:
-                while len(self.points) <= i and self._radius <= radius:
-                    self._radius, g = next(self._walk)
+                while len(self.points) <= i:
+                    r, g = next(self._walk)
                     p = PackedElement(g._quads).act(0, (0, 1))  # g keeps no map
                     if p not in self._seen:
                         self._seen.add(p)
-                        self.points.append((self._radius, p))
+                        self.points.append((r, p))
             except BaseException:
                 self.__init__()
                 raise
-            return self.points[i] if i < len(self.points) else None
+            return self.points[i]
 
 
 _CANDIDATES = _Candidates()
@@ -107,10 +107,9 @@ _CANDIDATES = _Candidates()
 def _separation(
     fs: Sequence[GroupElement], max_radius: int
 ) -> tuple[DiagonalProjection, tuple[DiagonalProjection, ...]]:
-    """The separating point of `separating_point` and its images.  Each
-    candidate is lifted once to the family's largest scale, images stay raw
-    until the winner's are wrapped, and the two elements of each collision
-    move to the front of the scan, so the pairs that collided last go first."""
+    """The separating point of `separating_point` and its images.  Images stay raw until
+    the winner's are wrapped, and the two elements of each collision move to the front of
+    the scan, so the pairs that collided last go first."""
     if len(set(fs)) < len(fs):  # no point separates an element from itself
         raise ValueError("certificate requires pairwise distinct elements")
     maps = [f._interval_map for f in fs]  # each f compiled once
@@ -118,17 +117,14 @@ def _separation(
         raise NotInF("separating points are defined for families in F")
     if max_radius < 0:
         raise ValueError("radius must be >= 0")
-    top = max(g.base for g in maps)
     order = list(range(len(maps)))
     i = 0
-    while (entry := _CANDIDATES.get(i, max_radius)) and entry[0] <= max_radius:
+    while (entry := _CANDIDATES.get(i))[0] <= max_radius:
         i += 1
-        n, ends = p = entry[1]
-        if n < top:
-            n, ends = top, tuple([e << (top - n) for e in ends])
+        p = entry[1]
         first: dict = {}  # image -> element, in the order of the scan
         for b in order:
-            a = first.setdefault(maps[b].act(n, ends), b)
+            a = first.setdefault(maps[b].act(*p), b)
             if a != b:
                 order.remove(a)
                 order.remove(b)

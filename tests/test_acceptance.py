@@ -37,11 +37,11 @@ from ftrees.elements import (
     validate_unitary,
 )
 from ftrees.generators import (
+    _generators,
     equals,
     from_normal_form,
     gen_x,
     generator_ball,
-    standard_generators,
     to_normal_form,
 )
 from ftrees.omega import (
@@ -200,7 +200,7 @@ def test_criterion_6_action_laws():
         assert (act(f, ONE) == ONE) == h2_member(f)
     for _ in range(200):
         p = _random_level_projection(rng, rng.randint(0, 6))
-        for name, g in standard_generators():
+        for name, g in _generators():
             level = max((len(w) for w in p.support), default=0) + 3
             assert atoms_at_level(act(g, p), level + 1) == closed_form_action(
                 name, p, level
@@ -211,7 +211,7 @@ def test_criterion_6_action_laws():
 
 def test_criterion_7_trace_residue():
     rng = random.Random(7)
-    gens = [g for _, g in standard_generators()]
+    gens = [g for _, g in _generators()]
     for _ in range(500):
         level = rng.choice([1, 3, 5])
         p = _random_level_projection(rng, level)
@@ -249,7 +249,7 @@ def test_criterion_9_boundary_locality_fixed_point_realizable():
             for k in range(window_requirement(f), 9):
                 assert act_truncated(f, embed(q, k)) == embed(act(f, q), k - h)
     full10 = PairTruncation(TreeTruncation.full(10), TreeTruncation.full(10))
-    for _, g in standard_generators():
+    for _, g in _generators():
         out = act_truncated(g, full10)
         assert out.left.is_full() and out.right.is_full()
     pairs = 0

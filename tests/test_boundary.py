@@ -22,8 +22,8 @@ from ftrees.boundary import (
     stabilizes,
     window_requirement,
 )
-from ftrees.elements import GroupElement, height
-from ftrees.generators import gen_x, generator_ball, standard_generators
+from ftrees.elements import GroupElement, NotInF, height
+from ftrees.generators import _generators, gen_x, generator_ball
 from ftrees.omega import ONE, ZERO, DiagonalProjection, act, omega2_member, orbit, trace
 
 from oracles import (
@@ -53,11 +53,18 @@ def test_tree_truncation_invariants():
         TreeTruncation(2, ["", "1"])  # leaf above the cut
     with pytest.raises(MalformedPair):
         TreeTruncation(1, ["", "1", "11"])  # too deep
+    with pytest.raises(MalformedPair):
+        TreeTruncation.full(-1)
+    with pytest.raises(MalformedPair):
+        PairTruncation(TreeTruncation.full(2), TreeTruncation.full(3))  # depth mismatch
 
 
 def test_embed_examples():
     full, empty = embed(ONE, 3).left, embed(ONE, 3).right
     assert full.is_full() and empty.is_empty()
+    assert str(embed(ONE, 1)) == "({e, 1, 2}, {})@1"
+    with pytest.raises(MalformedPair):
+        embed(ONE, 3).truncate(4)  # a window cannot be deepened
     e = embed(DiagonalProjection(["12"]), 2)
     assert e.left.vertices == frozenset(["", "1", "12"])
     assert e.right.vertices == frozenset(["", "1", "2", "11", "21", "22"])
@@ -107,13 +114,15 @@ def test_shallow_windows_underdetermine_the_action():
 
 def test_act_truncated_fixed_point_and_errors():
     full = PairTruncation(TreeTruncation.full(10), TreeTruncation.full(10))
-    for _, g in standard_generators():
+    for _, g in _generators():
         out = act_truncated(g, full)
         assert out.left.is_full() and out.right.is_full()
     pair = embed(ONE, 1)
     with pytest.raises(DepthTooShallow):
         act_truncated(gen_x(0), pair)
     assert act_truncated(GroupElement.identity(), pair) == pair
+    with pytest.raises(NotInF):  # an element of T outside F
+        act_truncated(GroupElement([("22", "1"), ("1", "21"), ("21", "22")]), pair)
 
 
 def test_stabilizes():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftrees import words
+from ftrees import omega, words
 from ftrees.boundary import PairTruncation, TreeTruncation
 from ftrees.cli import (
     MAX_UNNF_LETTERS,
@@ -362,7 +362,7 @@ def test_pair_depth_cap_exits_2(capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_deep_projection_cap_exits_2(capsys):
+def test_deep_projection_cap_exits_2(capsys, tmp_path, monkeypatch):
     # the witness of P[1^n] has Theta(n^2) letters, and so has x0 . P[1^n]
     deep = "P[" + "1" * 100_000 + "]"
     t0 = time.perf_counter()
@@ -373,6 +373,20 @@ def test_deep_projection_cap_exits_2(capsys):
     # 2 * 1448^2 is just under the cap, 2 * 1449^2 just over it
     assert run_cli(capsys, "act", "e:e", "P[" + "1" * 1448 + "]")[0] == 0
     assert run_cli(capsys, "act", "e:e", "P[" + "1" * 1449 + "]")[0] == 2
+    # an orbit prints about 3^depth points of len(ends) * n^2 letters
+    out = tmp_path / "deep.ldjson"
+    t0 = time.perf_counter()
+    argv = ["orbit", "P[" + "1" * 400 + "]", "--depth", "8", "--out", str(out)]
+    error = "error: 2 ends * level 400^2 * 3^8 exceed cap 34012224\n"
+    assert run_cli(capsys, *argv) == (2, "", error)
+    assert time.perf_counter() - t0 < 1.0 and not out.exists()
+    # every start two steps from 1 still reaches depth 12; P[1^6] does not
+    near = orbit(ONE, 2)
+    bfs = omega.orbit_levels
+    monkeypatch.setattr(omega, "orbit_levels", lambda start, depth: bfs(start, 0))
+    for p in near:
+        assert run_cli(capsys, "orbit", str(p), "--depth", "12")[0] == 0, p
+    assert run_cli(capsys, "orbit", "P[111111]", "--depth", "12")[0] == 2
 
 
 # three faults: '2' is a leaf above the cut, '222' and '2111' lie below it
@@ -453,6 +467,8 @@ def test_dot_outputs(capsys):
     assert code == 0
     assert tree.count("cluster_") == 2
     assert run_cli(capsys, "dot", "--kind", "treepair", x0)[1] == TREEPAIR_X0
+    with pytest.raises(ValueError):
+        export_dot("ring", parse_element(x0))
     # stability across input orderings and across the two syntaxes
     code, again, _ = run_cli(capsys, "dot", "--kind", "bipartite", "1:22 + 22:21 + 21:1")
     assert again == out

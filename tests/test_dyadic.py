@@ -54,6 +54,8 @@ def test_int_interop():
     assert 1 - Dyadic(1, 2) == Dyadic(3, 2)
     assert 2 * Dyadic(3, 2) == Dyadic(3, 1)
     assert Dyadic(2, 0) == 2
+    assert Dyadic(3, -2) == 12  # a negative exponent scales the numerator up
+    assert abs(Dyadic(-3, 2)) == Dyadic(3, 2)
     assert Dyadic(1, 1) <= 1 and 1 < Dyadic(3, 1) and Dyadic(4, 2) >= 1 and not 0 > Dyadic(1, 3)
     # comparing with a value that is no dyadic rational is an error; equality is False
     for op in (operator.lt, operator.le, operator.gt, operator.ge):

@@ -103,6 +103,10 @@ def test_normal_form_word_validation():
         NormalFormWord((1,), (1,))  # j_k == i_l
     with pytest.raises(ValueError):
         NormalFormWord((0, 3), (0,))  # 0 on both sides but no 1
+    with pytest.raises(ValueError):
+        NormalFormWord((-1,), ())  # a negative index
+    with pytest.raises(ValueError):
+        gen_x(-1)
 
 
 def test_from_normal_form_is_the_product():

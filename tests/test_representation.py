@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from ftrees import _packed, representation
-from ftrees.elements import GroupElement, inverse, multiply
+from ftrees.elements import GroupElement, NotInF, inverse, multiply
 from ftrees.generators import _ball_walk, gen_x, generator_ball
 from ftrees.omega import ONE, DiagonalProjection, act, h2_member
 from ftrees.representation import (
@@ -27,6 +27,8 @@ def test_vector_validation_and_normalization():
     v = FormalVector({ONE: Fraction(2), DiagonalProjection(["12"]): 1})
     assert len(v.coefficients) == 2
     assert FormalVector({ONE: 0}).coefficients == ()
+    assert str(FormalVector({})) == "0"
+    assert str(FormalVector.basis(ONE)) == "1*d[1]"
     with pytest.raises(ValueError):
         FormalVector({DiagonalProjection(["1"]): 1})  # not in Omega_2
 
@@ -38,6 +40,8 @@ def test_apply_examples():
     v = FormalVector({ONE: Fraction(1, 2), DiagonalProjection(["12"]): 3})
     assert apply(GroupElement.identity(), v) == v
     assert apply(inverse(x0), apply(x0, v)) == v
+    with pytest.raises(NotInF):  # an element of T outside F
+        apply(GroupElement([("22", "1"), ("1", "21"), ("21", "22")]), v)
 
 
 def test_apply_is_homomorphism_and_permutes_basis():
@@ -59,6 +63,8 @@ def test_separating_point_examples():
     assert separating_point([x0]) == ONE
     p = separating_point([x0, x1])
     assert act(x0, p) != act(x1, p)
+    with pytest.raises(NotInF):  # an element of T outside F
+        separating_point([x0, GroupElement([("22", "1"), ("1", "21"), ("21", "22")])])
 
 
 def _separating_point_by_radius(fs, max_radius=8):
@@ -290,10 +296,10 @@ def test_certificate_matches_the_ball_reference_search(monkeypatch):
 
 def test_an_interrupted_extension_leaves_a_prefix_of_the_walk(monkeypatch):
     clean = representation._Candidates()
-    assert clean.get(200, 8) is not None
+    assert clean.get(200) is not None
     table = representation._Candidates()
     monkeypatch.setattr(representation, "_CANDIDATES", table)
-    assert table.get(20, 8) == clean.points[20]
+    assert table.get(20) == clean.points[20]
     acts = 0
 
     class Interrupted(_packed.PackedElement):
@@ -306,10 +312,10 @@ def test_an_interrupted_extension_leaves_a_prefix_of_the_walk(monkeypatch):
 
     monkeypatch.setattr(representation, "PackedElement", Interrupted)
     with pytest.raises(KeyboardInterrupt):
-        table.get(200, 8)
+        table.get(200)
     # the walk ended with the exception, so the table started over
     assert table.points == []
-    assert table.get(200, 8) == clean.points[200] and table.points == clean.points[:201]
+    assert table.get(200) == clean.points[200] and table.points == clean.points[:201]
     fs = [GroupElement.identity(), deep_h2(6, "1")]
     assert independence_certificate(fs).point == separation_by_ball(fs, 8)[0]
 
@@ -333,4 +339,4 @@ def test_concurrent_searches_extend_one_table(monkeypatch):
     assert points == [separation_by_ball(fs, 8)[0] for fs in families]
     # no sighting lost or repeated: the table is a prefix of a walk made alone
     alone = representation._Candidates()
-    assert alone.get(len(table.points) - 1, 8) and alone.points == table.points
+    assert alone.get(len(table.points) - 1) and alone.points == table.points

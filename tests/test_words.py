@@ -152,12 +152,15 @@ def test_complete_code_rejections():
         CompleteCode(["11", "12"])  # Kraft sum 1/2
     with pytest.raises(ValueError):
         CompleteCode(["1", "23"])  # bad letter
+    assert "11" in CompleteCode(["11", "12", "2"]) and "1" not in CompleteCode(["11", "12", "2"])
 
 
 def test_uniform_code():
     assert uniform_code(0).words == ("",)
     assert uniform_code(2).words == ("11", "12", "21", "22")
     assert len(uniform_code(5)) == 32
+    with pytest.raises(ValueError):
+        uniform_code(-1)
 
 
 def test_word_str_round_trip():
