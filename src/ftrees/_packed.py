@@ -5,7 +5,7 @@ the right.  A diagonal projection is a finite union of such intervals,
 stored as (n, ends): the flat sorted endpoints a0, b0, a1, b1, ... of
 its merged intervals [a, b) in units of 2^-n.  n is minimal (not every
 endpoint is even), so the form is canonical and hashable.  Words are
-made only at the edges: `intervals` and `pack` read, `word` and `unpack` write.
+made only at the edges: `interval` and `pack` read, `word` and `unpack` write.
 `round_out` coarsens a projection to the cells of a scale it meets.
 
 A term S_alpha S_beta* maps I(beta) affinely onto I(alpha), so an
@@ -24,9 +24,9 @@ _TO_BITS = str.maketrans("12", "01")
 _TO_WORD = str.maketrans("01", "12")
 
 
-def intervals(words: Iterable[str]) -> list[tuple[int, int]]:
-    """(length, value) of each word: I(w) is [v, v + 1) in units of 2^-length."""
-    return [(len(w), int(w.translate(_TO_BITS) or "0", 2)) for w in words]
+def interval(w: str) -> tuple[int, int]:
+    """(length, value) of a word: I(w) is [v, v + 1) in units of 2^-length."""
+    return len(w), int(w.translate(_TO_BITS) or "0", 2)
 
 
 def word(n: int, v: int) -> str:
@@ -59,7 +59,7 @@ def pack(support: Iterable[str]) -> tuple[int, tuple[int, ...]]:
     ws = list(support)
     n = max(map(len, ws), default=0)
     ends: list[int] = []
-    for m, v in intervals(ws):
+    for m, v in map(interval, ws):
         shift = n - m
         a = v << shift
         if ends and a < ends[-1]:

@@ -18,8 +18,7 @@ from typing import Callable, Sequence
 
 from . import boundary, omega, representation
 from .elements import (
-    GroupElement, Term, inverse, is_cyclic_order_preserving, is_order_preserving, multiply,
-    validate_unitary,
+    GroupElement, _from_words, inverse, is_cyclic_order_preserving, is_order_preserving, multiply,
 )
 from .generators import _generators, element_of_word, parse_generator_word, to_normal_form
 from .omega import DiagonalProjection
@@ -34,7 +33,7 @@ MAX_UNNF_LETTERS = 1000
 MAX_PROJECTION_SIZE = 1 << 22
 # `orbit` prints up to about 3^depth points of len(ends) * n^2 letters from a level-n start.
 # The cap admits every start two steps from 1 at depth 12; at the cap, P[1122]+P[1211]+P[2122]+
-# P[2211] to depth 12 takes 8-14 s and 231 MB and writes 52.5 MB (Python 3.11.7, 2 vCPUs)
+# P[2211] to depth 12 takes 4.5-6 s and 254 MB and writes 52.5 MB (Python 3.11.7, 2 vCPUs)
 MAX_ORBIT_SIZE = 64 * 3 ** 12
 MAX_ERROR_CHARS = 200
 
@@ -42,7 +41,7 @@ MAX_ERROR_CHARS = 200
 def _check_depth(depth: int) -> None:
     """Reject a depth above the FTREES_MAX_DEPTH cap (default 12).  At the
     cap, from the start 1, `orbit 1 --depth 12 --out f` writes 243,539
-    points (18.2 MB) in about 5.7 s at 100 MB peak RSS (Python 3.11.7,
+    points (18.2 MB) in about 3.5 s at 110 MB peak RSS (Python 3.11.7,
     2 vCPUs); a deeper start costs more, up to MAX_ORBIT_SIZE."""
     raw = os.environ.get("FTREES_MAX_DEPTH", "12")
     try:
@@ -95,24 +94,26 @@ def _json_words(value: object, what: str) -> list[str]:
     return [_word(w) for w in value]
 
 
-def parse_element(text: str, as_json: bool = False) -> GroupElement:
+def parse_element(text: str, as_json: bool = False, table: dict | None = None) -> GroupElement:
+    """The element written `text`; the elements of one command may share one word `table`."""
     if as_json:
         terms = _json_object(text, "terms")["terms"]
         if not isinstance(terms, list) or not all(
             isinstance(t, list) and len(t) == 2 for t in terms
         ):
             raise ValueError("terms must be a JSON list of [alpha, beta] pairs")
-        return validate_unitary([Term(*_json_words(t, "a term")) for t in terms])
-    terms = []
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise ValueError("empty term in element syntax")
-        a, sep, b = chunk.partition(":")
-        if not sep:
-            raise ValueError(f"term {chunk!r} is not of the form alpha:beta")
-        terms.append(Term(_word(a.strip()), _word(b.strip())))
-    return validate_unitary(terms)
+        pairs = [_json_words(t, "a term") for t in terms]
+        alphas, betas = [a for a, _ in pairs], [b for _, b in pairs]
+    else:
+        terms = [chunk.partition(":") for chunk in text.split("+")]
+        for chunk, sep, _ in terms:
+            if not sep:  # the first bad term: a term with a colon is never empty
+                if chunk := chunk.strip():
+                    raise ValueError(f"term {chunk!r} is not of the form alpha:beta")
+                raise ValueError("empty term in element syntax")
+        alphas = [_word(a.strip()) for a, _, _ in terms]
+        betas = [_word(b.strip()) for _, _, b in terms]
+    return _from_words(alphas, betas, {} if table is None else table)
 
 
 def format_element(f: GroupElement, as_json: bool = False) -> str:
@@ -348,9 +349,10 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     def write(fh) -> None:  # the levels in turn, each sorted by its text
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         points = iter(run.depths)  # in discovery order, level after level
+        texts: dict = {}  # each interval's text, made once for the file
         for d, _, new, _ in run.levels:  # the text of p needs no JSON escaping
-            fh.writelines(f'{{"depth": {d}, "p": "{p}"}}\n'
-                          for p in sorted(map(str, itertools.islice(points, new))))
+            level = sorted(omega._text(*p, texts) for p in itertools.islice(points, new))
+            fh.writelines(f'{{"depth": {d}, "p": "{p}"}}\n' for p in level)
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -389,7 +391,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 @_command("separate", "independence certificate for elements", ("elements", {"nargs": "+"}))
 def _cmd_separate(args: argparse.Namespace) -> int:
-    fs = [parse_element(e, args.json) for e in args.elements]
+    table: dict = {}  # the family's words, each read once
+    fs = [parse_element(e, args.json, table) for e in args.elements]
     cert = representation.independence_certificate(fs)
     print(json.dumps(cert.to_json(), sort_keys=True))
     return 0
@@ -439,7 +442,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:  # stdout failed, as on a full disk
         _drop_stdout()
         msg = f"cannot write the output: {exc}"
-    except (ValueError, KeyError, representation.SearchExhausted) as exc:
+    except (ValueError, representation.SearchExhausted) as exc:
         msg = str(exc)
     if len(msg) > MAX_ERROR_CHARS:  # a message can echo a long input
         msg = f"{msg[:MAX_ERROR_CHARS]} ... (cut from {len(msg)} characters)"

@@ -17,8 +17,10 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from ._packed import PackedElement, intervals, word
-from .words import CompleteCode, Quad, _diagonal, _merge_walk, _tiling, word_to_str
+from ._packed import PackedElement, interval, word
+from .words import (
+    CompleteCode, Quad, _diagonal, _merge_walk, _read, _tiles, _tiling, word_to_str,
+)
 
 
 class NotUnitary(ValueError):
@@ -86,7 +88,7 @@ class GroupElement:
     _quads: tuple[Quad, ...]
 
     def __init__(self, terms: Iterable[tuple[str, str]]) -> None:
-        self.__dict__.update(validate_unitary([Term(a, b) for a, b in terms]).__dict__)
+        self.__dict__.update(validate_unitary(list(terms)).__dict__)
 
     @cached_property
     def terms(self) -> tuple[Term, ...]:
@@ -135,27 +137,36 @@ def _element(quads: tuple[Quad, ...]) -> GroupElement:
     return f
 
 
-def validate_unitary(terms: Sequence[Term]) -> GroupElement:
+def validate_unitary(terms: Sequence[tuple[str, str]]) -> GroupElement:
     """Canonicalize a term list, checking the unitarity conditions.
 
     The sum is unitary iff the alpha words and the beta words each form a
     complete code (which checks every word); the lex pairing between the
-    codes is then a bijection.  Each word is read once, by `_tiling`.
+    codes is then a bijection.
     """
-    if not terms:
+    return _from_words([a for a, _ in terms], [b for _, b in terms], {})
+
+
+def _from_words(alphas: list[str], betas: list[str], table: dict) -> GroupElement:
+    """`validate_unitary` of the terms (alphas[i], betas[i]), read through
+    `table`.  Betas that tile in alpha order make an element of F, whose
+    domain words need no sort of their own."""
+    if not alphas:
         raise NotUnitary("empty term list (group elements are never zero)")
-    checked = []
-    for side, words in (("range", [t.alpha for t in terms]), ("domain", [t.beta for t in terms])):
-        try:
-            checked.append(_tiling(words))
-        except ValueError as exc:
-            raise NotUnitary(f"{side} side: {exc}") from exc
-    (alphas, order), (betas, _) = checked
-    quads = _reduce_terms([alphas[i] + betas[i] for i in order])
+    side = "range"
+    try:
+        ints, order = _tiling(alphas, table)
+        side = "domain"
+        beta_ints = _read(betas, table)
+        if _tiles([beta_ints[i] for i in order]):
+            _tiling(betas, table)  # the domain code in its own order, or its fault
+    except ValueError as exc:
+        raise NotUnitary(f"{side} side: {exc}") from exc
+    quads = _reduce_terms([ints[i] + beta_ints[i] for i in order])
     f = _element(quads)
-    # kept words spare `__str__` remaking them: without this, certify `separate` ran 7.7 % slower
-    if len(quads) == len(terms):  # nothing merged: the input words are the terms
-        f.__dict__["terms"] = tuple(terms[i] for i in order)
+    # kept words spare `__str__` remaking them: without this, certify `separate` ran 7 % slower
+    if len(quads) == len(alphas):  # nothing merged: the input words are the terms
+        f.__dict__["terms"] = tuple([Term(alphas[i], betas[i]) for i in order])
     return f
 
 
@@ -170,7 +181,7 @@ def _refined(u: GroupElement, target: CompleteCode, side: Side) -> list[Quad]:
         k, out = 0, _merge_walk(_diagonal(target), u._quads)
     if len(out) > len(target):
         # the first piece that is no target word is a word of u
-        targets = set(intervals(target.words))
+        targets = set(map(interval, target.words))
         piece = next(q[k : k + 2] for q in out if q[k : k + 2] not in targets)
         raise TargetNotARefinement(
             f"{target} does not refine the {side.value} word {word_to_str(word(*piece))}"

@@ -89,14 +89,23 @@ class DiagonalProjection(tuple):
         return self == (0, (0, 1))
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        if self.is_one():
-            return "1"
-        return "+".join(f"P[{w}]" for w in self.support)
+        return _text(*self)
 
     def __repr__(self) -> str:
         return f"DiagonalProjection({self})"
+
+
+def _text(n: int, ends: tuple[int, ...], table: Optional[dict] = None) -> str:
+    """The text of the projection (n, ends), as `str` prints it: its blocks
+    as P[w]+...  `table` holds each interval's text, keyed by (n, a, b), for
+    a printer whose projections share few intervals, as an orbit file's do."""
+    if not n:  # 0 is (0, ()) and 1 is (0, (0, 1))
+        return "1" if ends else "0"
+    if table is None:
+        return "+".join([f"P[{w}]" for w in _packed.unpack(n, ends)])
+    pairs = iter(ends)
+    return "+".join([table.get((n, a, b)) or table.setdefault((n, a, b), _text(n, (a, b)))
+                     for a, b in zip(pairs, pairs)])
 
 
 def _wrap(packed: tuple[int, tuple[int, ...]]) -> DiagonalProjection:

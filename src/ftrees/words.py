@@ -78,11 +78,17 @@ def _tiles(ints: Iterable[tuple[int, int]]) -> int:
     return int(gap or e != 1 << m)
 
 
-def _tiling(words: Sequence[str]) -> tuple[list[tuple[int, int]], list[int]]:
-    """The words' intervals (`_packed.intervals`) and their positions in
-    lex order, which puts a word before its extensions; raises ValueError
-    unless they tile [0, 1] in that order."""
-    ints = _packed.intervals(map(check_word, words))
+def _read(words: Iterable[str], table: dict[str, tuple[int, int]]) -> list[tuple[int, int]]:
+    """The words' `_packed.interval`s, in order.  `table` holds the words read
+    so far: a word enters it once `check_word` passes, so it is checked once."""
+    return [table.get(w) or table.setdefault(w, _packed.interval(check_word(w))) for w in words]
+
+
+def _tiling(words: Sequence[str], table: dict) -> tuple[list[tuple[int, int]], list[int]]:
+    """The words' intervals (`_read`) and their positions in lex order,
+    which puts a word before its extensions; raises ValueError unless they
+    tile [0, 1] in that order."""
+    ints = _read(words, table)
     order = sorted(range(len(words)), key=words.__getitem__)
     fault = _tiles([ints[i] for i in order])
     if fault < 0:
@@ -102,7 +108,7 @@ class CompleteCode:
 
     def __init__(self, words: Iterable[str]) -> None:
         ws = tuple(words)
-        object.__setattr__(self, "words", tuple(ws[i] for i in _tiling(ws)[1]))
+        object.__setattr__(self, "words", tuple(ws[i] for i in _tiling(ws, {})[1]))
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.words)
@@ -130,13 +136,13 @@ def uniform_code(k: int) -> CompleteCode:
 
 
 # A term S_alpha S_beta* as the intervals (|alpha|, value, |beta|, value)
-# of its words (`_packed.intervals`); it maps I(beta) onto I(alpha).
+# of its words (`_packed.interval`); it maps I(beta) onto I(alpha).
 Quad = tuple[int, int, int, int]
 
 
 def _diagonal(code: CompleteCode) -> list[Quad]:
     """The identity map of a code: its terms (w, w)."""
-    return [q * 2 for q in _packed.intervals(code.words)]
+    return [q * 2 for q in map(_packed.interval, code.words)]
 
 
 def _merge_walk(a: Sequence[Quad], b: Sequence[Quad]) -> list[Quad]:

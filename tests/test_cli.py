@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import random
@@ -6,13 +7,15 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftrees import omega, words
+from ftrees import cli, omega, words
 from ftrees.boundary import PairTruncation, TreeTruncation
 from ftrees.cli import (
     MAX_UNNF_LETTERS,
@@ -27,7 +30,8 @@ from ftrees.cli import (
 )
 from ftrees.elements import GroupElement
 from ftrees.generators import from_normal_form, generator_ball
-from ftrees.omega import ONE, DiagonalProjection, orbit
+from ftrees.omega import ONE, DiagonalProjection, orbit, orbit_levels
+from ftrees.representation import independence_certificate
 
 from oracles import pattern_window, random_normal_form
 
@@ -599,6 +603,151 @@ def test_any_json_value_exits_0_1_or_2(value):
     ):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2), argv
+
+
+# each subcommand's arguments: a literal, or the kind of a value written in
+# its plain form or, under --json, its JSON form
+CONTRACT_ARGS = {
+    "mul": ["element", "element"],
+    "inv": ["element"],
+    "reduce": ["element"],
+    "nf": ["element"],
+    "unnf": ["word"],
+    "member": ["--set", "h2", "element"],
+    "act": ["element", "projection"],
+    "coset": ["element"],
+    "trace": ["projection"],
+    "omega2": ["projection"],
+    "realize": ["projection"],
+    "orbit": ["projection", "--depth", "depth"],
+    "boundary-act": ["element", "pair"],
+    "realizable": ["pair"],
+    "witness": ["pair"],
+    "separate": ["element", "element", "element"],
+    "dot": ["--kind", "treepair", "element"],
+}
+CONTRACT_VALUES = {  # kind -> its (plain, JSON) forms, one per occurrence in a command
+    "element": [
+        ("11:1 + 12:21 + 2:22", X0_JSON),
+        ("1:1 + 211:21 + 212:221 + 22:222", '{"terms": [["1", "1"], ["211", "21"], '
+         '["212", "221"], ["22", "222"]]}'),
+        ("e:e", '{"terms": [["e", "e"]]}'),
+    ],
+    "projection": [("P[12]", '{"support": ["12"]}')],
+    "pair": [(FULL_PAIR, FULL_PAIR)],
+    "word": [("x0 x2 x1^-1", "x0 x2 x1^-1")],
+    "depth": [("2", "2")],
+}
+MUTATIONS = ("letter", "bracket", "json type", "huge number", "deep nesting")
+
+
+@st.composite
+def mutated_invocations(draw) -> list[str]:
+    """A valid invocation of a subcommand with one argument mutated once."""
+    name = draw(st.sampled_from(sorted(CONTRACT_ARGS)))
+    as_json = draw(st.booleans())
+    kinds, texts, seen = [], [], Counter()
+    for arg in CONTRACT_ARGS[name]:
+        forms = CONTRACT_VALUES.get(arg)
+        kinds.append(arg if forms else None)
+        texts.append(forms[seen[arg]][as_json] if forms else arg)
+        seen[arg] += 1
+    how = draw(st.sampled_from(MUTATIONS))
+    # a depth only grows huge: a letter could make it 12, a slow valid run
+    i = draw(st.sampled_from([
+        i for i, kind in enumerate(kinds) if kind and (kind != "depth" or how == "huge number")
+    ]))
+    text, pos = texts[i], draw(st.integers(0, len(texts[i])))
+    if how == "letter":
+        letter = draw(st.sampled_from("12e03x:+-^ \t\u00e9P"))
+        text = text[:pos] + letter + text[pos + draw(st.integers(0, 1)):]
+    elif how == "bracket":
+        text = text[:pos] + draw(st.sampled_from("[]{}()\"")) + text[pos:]
+    elif how == "json type":
+        value = draw(JSON_VALUES)
+        if text.startswith("{"):  # one field of the object changes type
+            data = json.loads(text)
+            data[draw(st.sampled_from(sorted(data)))] = value
+            value = data
+        text = json.dumps(value)
+    elif how == "huge number":
+        digits = "9" * draw(st.integers(19, 5000))
+        text = digits if kinds[i] == "depth" else text[:pos] + digits + text[pos:]
+    else:
+        depth = draw(st.integers(2, 5000))
+        text = "[" * depth + text + "]" * depth
+    texts[i] = text
+    return ["--json"] * as_json + [name, *texts]
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_invocations())
+def test_every_subcommand_exits_0_1_or_2_on_mutated_input(argv):
+    assert set(CONTRACT_ARGS) == {name for name, *_ in cli._COMMANDS}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+            assert code == 2, argv
+            return
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, argv
+
+
+def test_a_key_error_from_the_library_is_not_an_input_error(monkeypatch):
+    # every input error is a ValueError; a KeyError is a bug and keeps its traceback
+    def broken(text, as_json=False, table=None):
+        raise KeyError("planted")
+
+    monkeypatch.setattr(cli, "parse_element", broken)
+    with pytest.raises(KeyError, match="planted"):
+        main(["reduce", "e:e"])
+
+
+def test_printed_projections_are_their_str(tmp_path, capsys):
+    rng = random.Random(23)
+    ball = generator_ball(3)
+    for size in (1, 2, 5, 20, len(ball)):
+        cert = independence_certificate(rng.sample(ball, size))
+        data = cert.to_json()
+        assert data["p"] == str(cert.point)
+        assert data["images"] == [str(q) for q in cert.images]
+    out = tmp_path / "orbit.ldjson"
+    assert run_cli(capsys, "orbit", "1", "--depth", "6", "--out", str(out))[0] == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+    run = orbit_levels(ONE, 6)
+    assert [(r["depth"], r["p"]) for r in records] == sorted(
+        (d, str(p)) for p, d in run.depths.items()
+    )
+
+
+def test_separate_and_orbit_keep_no_text(tmp_path):
+    # the word and text tables live for one command
+    argvs = (
+        ["separate", *map(str, generator_ball(3))],
+        ["orbit", "1", "--depth", "8", "--out", str(tmp_path / "orbit.ldjson")],
+    )
+
+    def quiet(argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+
+    for argv in argvs:  # the parser, the candidate points and the generators' maps
+        quiet(argv)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for argv in argvs:
+            quiet(argv)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 * 1024
 
 
 def test_deeply_nested_json_exits_2(capsys):

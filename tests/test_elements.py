@@ -1,8 +1,12 @@
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from ftrees import cli
 from ftrees.elements import (
     GroupElement,
     NotInF,
@@ -310,6 +314,75 @@ def test_validate_unitary_messages_match_the_oracle_byte_for_byte():
         kinds.add((want.split()[0], kind))
     # the empty list, and each kind of rejection on each side
     assert len(kinds) == 7, kinds
+
+
+def element_text(terms) -> str:
+    """The CLI text of a term list: "e" is the empty word."""
+    return " + ".join(f"{a or 'e'}:{b or 'e'}" for a, b in terms)
+
+
+def test_the_text_parser_agrees_with_validate_unitary_byte_for_byte():
+    rng = random.Random(85)
+    cases = [terms for terms in (broken_term_list(rng) for _ in range(600)) if terms]
+    # a bad letter on each side; the range side's is reported
+    cases += [[Term("11", "x"), Term("3", "1")], [Term("1", "1x"), Term("2", "0")]]
+    for terms in cases:
+        want = unitary_message(terms)
+        as_json = json.dumps({"terms": [[a or "e", b or "e"] for a, b in terms]})
+        for text, json_mode in ((element_text(terms), False), (as_json, True)):
+            if want is None:
+                got = cli.parse_element(text, json_mode)
+                assert got == validate_unitary(terms)
+                assert got.terms == validate_unitary(terms).terms
+                continue
+            with pytest.raises(NotUnitary) as info:
+                cli.parse_element(text, json_mode)
+            assert str(info.value) == want
+
+
+def run_separate(texts: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(["separate", *texts])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_separate_reads_a_family_through_one_word_table_with_the_same_answers():
+    rng = random.Random(86)
+    cases = [terms for terms in (broken_term_list(rng) for _ in range(300)) if terms]
+    family = []  # distinct elements of F, in the order met
+    for terms in cases:
+        if unitary_message(terms) is None:
+            f = validate_unitary(terms)
+            if is_order_preserving(f) and f not in family:
+                family.append(f)
+    assert len(family) >= 20
+    # the family's words repeat from element to element; the certificate is
+    # the one of the elements parsed one by one
+    texts = [element_text(f.terms) for f in family]
+    code, out, err = run_separate(texts)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(independence_certificate(family).to_json(), sort_keys=True) + "\n"
+    # a bad word first met in a later element: exit 2, one line naming it
+    first, second = family[0], family[1]
+    seen = 0
+    for terms in cases:
+        want = unitary_message(terms)
+        if want is None:
+            continue
+        code, out, err = run_separate([element_text(first.terms), element_text(second.terms),
+                                       element_text(terms)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {want[:cli.MAX_ERROR_CHARS]}") and err.count("\n") == 1
+        seen += "letter" in want
+    assert seen >= 20
+    # the third element repeats every word of the first two but one, which has a bad letter
+    terms = [*first.terms[:-1], Term(first.terms[-1].alpha, second.terms[0].beta + "x")]
+    want = unitary_message(terms)
+    assert want == f"domain side: invalid letter 'x' in word {second.terms[0].beta + 'x'!r}"
+    code, out, err = run_separate([element_text(first.terms), element_text(second.terms),
+                                   element_text(terms)])
+    assert (code, out, err) == (2, "", f"error: {want}\n")
 
 
 def test_products_of_v_elements_are_the_merged_dictionary_match():
