@@ -25,7 +25,8 @@ from .omega import DiagonalProjection
 from .words import word_to_str
 
 MAX_GENERATOR_INDEX = 64
-# `unnf` multiplies its word out letter by letter, which is quadratic
+# `unnf` multiplies its word out as a balanced tree of products: 1,000 random letters of
+# x0-x63 take 0.07 s, x0^1000 0.012 s (0.18 s and 0.32 s letter by letter; Python 3.11.7)
 MAX_UNNF_LETTERS = 1000
 # `realize` and `act` print the atoms of p and 1 - p, about len(ends) * n^2 letters
 # at level n.  At the cap, P[1^1448] takes 0.15 s and 21 MB and prints 1.4 MB; 1,024

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftrees import cli, omega, words
+from ftrees import cli, generators, omega, words
 from ftrees.boundary import PairTruncation, TreeTruncation
 from ftrees.cli import (
     MAX_UNNF_LETTERS,
@@ -29,7 +29,7 @@ from ftrees.cli import (
     parse_projection,
 )
 from ftrees.elements import GroupElement
-from ftrees.generators import from_normal_form, generator_ball
+from ftrees.generators import from_normal_form, gen_x, generator_ball
 from ftrees.omega import ONE, DiagonalProjection, orbit, orbit_levels
 from ftrees.representation import independence_certificate
 
@@ -527,6 +527,19 @@ def test_error_diagnostics(capsys):
     assert run_cli(capsys, "witness", json.dumps(
         {"depth": 1, "left": ["e", "1", "2"], "right": []}
     ))[0] == 2
+
+
+def test_generator_indices_take_ascii_digits_only(capsys):
+    # str.isdigit accepts other scripts' digits, which int() reads or rejects
+    for tok in ("x\u0663", "x\u00b2", "x\u0967", "x1^-1 x\u00b2^-1"):
+        bad = tok.split()[-1]
+        assert run_cli(capsys, "unnf", tok) == (2, "", f"error: bad generator token {bad!r}\n")
+        with pytest.raises(ValueError) as info:
+            generators.parse_normal_form(tok)
+        assert str(info.value) == f"bad generator token {bad!r}"
+        code, out, err = run_cli(capsys, "nf", tok)
+        assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1
+    assert run_cli(capsys, "unnf", "x3")[:2] == (0, format_element(gen_x(3)) + "\n")
 
 
 def test_a_bad_letter_exits_2_naming_it_in_every_parser(capsys):

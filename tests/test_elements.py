@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from ftrees import cli
+from ftrees import cli, omega
+from ftrees._packed import interval
 from ftrees.elements import (
     GroupElement,
     NotInF,
@@ -14,6 +15,7 @@ from ftrees.elements import (
     Side,
     TargetNotARefinement,
     Term,
+    _reduce_terms,
     abelianization,
     height,
     in_commutator_subgroup,
@@ -30,6 +32,7 @@ from ftrees.elements import (
 from ftrees.generators import (
     element_of_word, from_normal_form, gen_x, generator_ball, to_normal_form,
 )
+from ftrees.omega import ONE, act, realize
 from ftrees.representation import independence_certificate
 from ftrees.words import CompleteCode, kraft_sum, uniform_code
 
@@ -438,6 +441,90 @@ def test_f_and_t_membership_match_the_position_map():
         assert is_cyclic_order_preserving(f) == in_t, f
         kinds["F" if in_f else "T" if in_t else "V"] += 1
     assert min(kinds.values()) >= 50, kinds
+
+
+def kind_by_position(f: GroupElement) -> str:
+    """The oracle: "F", "T" or "V", the smallest of the three groups holding f."""
+    pm = position_map(f)
+    m = len(pm)
+    return "F" if pm == list(range(m)) else "T" if pm == [(pm[0] + i) % m for i in range(m)] else "V"
+
+
+def recorded_in_f(f: GroupElement) -> bool:
+    """F membership as the constructor recorded it; fails if it recorded none,
+    so that a later query would have to scan."""
+    assert "_in_f" in vars(f), f
+    return vars(f)["_in_f"]
+
+
+def test_recorded_f_membership_matches_the_position_map_for_every_constructor():
+    rng = random.Random(87)
+    pool = []
+    for _ in range(300):
+        terms = list(zip(*random_pairing(rng, rng.randint(1, 16))))
+        want = kind_by_position(GroupElement(terms)) == "F"
+        as_json = json.dumps({"terms": [[a or "e", b or "e"] for a, b in terms]})
+        rng.shuffle(terms)
+        parsed = [cli.parse_element(element_text(terms)), cli.parse_element(as_json, True)]
+        for f in [GroupElement(terms), validate_unitary(terms), *parsed]:
+            assert recorded_in_f(f) == want, terms
+        pool.append(f)
+    nfs = [random_normal_form(rng, rng.randint(0, 30)) for _ in range(60)]
+    pool += [from_normal_form(nf) for nf in nfs] + [GroupElement.identity()]
+    pool += generator_ball(3)
+    for f in pool:
+        assert recorded_in_f(f) == (kind_by_position(f) == "F"), f
+    # every F/T/V pair: a product with its left factor in F keeps its record
+    kinds = {}
+    for u in pool:
+        kinds.setdefault(kind_by_position(u), []).append(u)
+    assert min(map(len, kinds.values())) >= 40, {k: len(v) for k, v in kinds.items()}
+    for ku in kinds.values():
+        for kw in kinds.values():
+            for _ in range(100):
+                u, w = rng.choice(ku), rng.choice(kw)
+                uw, inv = multiply(u, w), inverse(u)
+                assert recorded_in_f(inv) == (kind_by_position(inv) == "F"), u
+                if recorded_in_f(u):
+                    assert recorded_in_f(uw) == (kind_by_position(uw) == "F"), (u, w)
+                assert is_order_preserving(uw) == (kind_by_position(uw) == "F"), (u, w)
+
+
+def test_realize_records_no_f_membership_and_its_certificate_scans(monkeypatch):
+    built = []
+
+    def spy(quads, in_f=None):
+        built.append(in_f)
+        return element(quads, in_f)
+
+    element = omega._element
+    monkeypatch.setattr(omega, "_element", spy)
+    for f in generator_ball(3):
+        g = realize(act(f, ONE))
+        # the witness is built with no record; the certificate's scan is kept
+        assert built.pop() is None and not built
+        assert recorded_in_f(g) and kind_by_position(g) == "F"
+        # a product with an element of unknown membership records none, nor scans it
+        del vars(g)["_in_f"]
+        assert "_in_f" not in vars(multiply(X0, g)) and "_in_f" not in vars(g)
+
+
+def test_reduction_undoes_every_split_as_the_oracle_does():
+    rng = random.Random(88)
+    seen = {"F": 0, "T": 0, "V": 0}
+    for _ in range(200):
+        f = GroupElement(zip(*random_pairing(rng, rng.randint(1, 12))))
+        seen[kind_by_position(f)] += 1
+        split = []
+        for a, b in f.terms:
+            # all 2^k suffix pairs: the merges cascade k levels up
+            k = rng.randint(1, 6)
+            split += [Term(a + s, b + s) for s in uniform_code(k).words]
+        assert merge_siblings(split) == f.terms
+        assert _reduce_terms([interval(a) + interval(b) for a, b in sorted(split)]) == f._quads
+        rng.shuffle(split)
+        assert validate_unitary(split) == f and validate_unitary(split).terms == f.terms
+    assert min(seen.values()) >= 30, seen
 
 
 def test_refine_worked_example():

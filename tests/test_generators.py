@@ -286,6 +286,20 @@ def test_long_words_multiply_out_as_the_letter_product():
         assert to_normal_form(f) == to_normal_form(GroupElement(f.terms))
 
 
+def test_words_up_to_200_letters_multiply_out_as_the_letter_product():
+    # element_of_word multiplies a balanced tree of products; the oracle goes letter by letter
+    rng = random.Random(11)
+    words = [[(0, 1)] * n for n in (1, 2, 3, 64, 200)] + [[(0, -1)] * 131]
+    words += [[(i % 8, 1) for i in range(n)] for n in (7, 9, 200)]
+    words += [[(i % 5, -1) for i in range(n)] for n in (33, 150)]
+    words += [
+        [(rng.randrange(64), rng.choice((1, -1))) for _ in range(n)] for n in (5, 17, 100, 200)
+    ]
+    for letters in words:
+        f, want = element_of_word(letters), product_of_word(letters)
+        assert f.terms == want and f == GroupElement(want), letters
+
+
 def test_normal_form_of_random_words():
     rng = random.Random(9)
     for _ in range(80):
