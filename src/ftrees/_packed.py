@@ -10,9 +10,9 @@ made only at the edges: `interval` and `pack` read, `word` and `unpack` write.
 
 A term S_alpha S_beta* maps I(beta) affinely onto I(alpha), so an
 element acts by sending p on I(beta) to I(alpha) for even-degree terms
-and 1 - p for odd ones (the PL picture of F).  The lattice operations
-are the set operations on the intervals.  Costs grow with the number of
-intervals and terms, not with 2^n.
+and 1 - p for odd ones (the PL picture of F); x is in p iff an odd count of
+p's ends are at or below x.  The lattice operations are the set operations on
+the intervals.  Costs grow with the number of intervals and terms, not 2^n.
 """
 
 from __future__ import annotations
@@ -162,9 +162,9 @@ class PackedElement:
     def act(self, n: int, ends: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         """Canonical (n, ends) of (this element) . (the projection).
 
-        Even terms map p on I(beta) onto I(alpha), odd terms 1 - p; the
-        images arrive in order.  The intervals of p and of 1 - p never
-        touch, so only a term's first image can touch the one before it.
+        Even terms map p on I(beta) onto I(alpha), odd terms 1 - p: an odd count of ends
+        at or below x puts x in p.  The images arrive in order; p and 1 - p never touch,
+        so only a term's first image can touch the one before it.
         """
         k = n - self.base
         if k < 0:
@@ -175,26 +175,22 @@ class PackedElement:
             table = self._tables[k] = [
                 (lo << k, hi << k, s, c << k, even) for lo, hi, s, c, even in self._tables[0]
             ]
-        comp = (0, *ends, 1 << (self.base + k))  # 1 - p
         out: list[int] = []
+        last = len(ends)
         for lo, hi, s, c, even in table:
-            src = ends if even else comp
-            j = bisect_right(src, lo) & -2
-            last = len(src)
-            if j == last or src[j] >= hi:
-                continue
-            a = src[j]
-            a = ((a if a > lo else lo) << s) + c
+            j = bisect_right(ends, lo)
+            if j & 1 != even:  # lo is outside the carried set: start at its next entry
+                if j == last or ends[j] >= hi:
+                    continue
+                lo, j = ends[j], j + 1
+            a = (lo << s) + c
             if out and out[-1] == a:
                 out.pop()
             else:
                 out.append(a)
-            # an end and the next start, both inside I(beta): no clipping
-            j += 1
-            while j + 1 < last and src[j + 1] < hi:
-                out.append((src[j] << s) + c)
-                out.append((src[j + 1] << s) + c)
-                j += 2
-            b = src[j]
-            out.append(((b if b < hi else hi) << s) + c)
+            while j < last and ends[j] < hi:
+                out.append((ends[j] << s) + c)
+                j += 1
+            if len(out) & 1:  # the carried set runs on to the end of I(beta)
+                out.append((hi << s) + c)
         return _canonical(self.base + k + self.height, out)

@@ -133,7 +133,7 @@ class GroupElement:
         return inverse(self)
 
     def __str__(self) -> str:
-        pairs = self.__dict__.get("terms") or [(word(*q[:2]), word(*q[2:])) for q in self._quads]
+        pairs = self.__dict__.get("terms") or ((word(*q[:2]), word(*q[2:])) for q in self._quads)
         return " + ".join([f"{a or 'e'}:{b or 'e'}" for a, b in pairs])
 
     def __repr__(self) -> str:

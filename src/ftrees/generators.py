@@ -105,8 +105,9 @@ def element_of_word(letters: Iterable[tuple[int, int]]) -> GroupElement:
     """Multiply out an arbitrary generator word, as a balanced tree of
     products: neighbours first, then their products, and so on, so that
     no factor is multiplied into more than about log2(length) products."""
-    fs = [gen_x(idx) if sign > 0 else inverse(gen_x(idx)) for idx, sign in letters]
-    fs = fs or [GroupElement.identity()]
+    x = cache(gen_x)  # call-local tables: each distinct letter is built once, x_i^-1 from x_i
+    x_inv = cache(lambda idx: inverse(x(idx)))
+    fs = [x(idx) if sign > 0 else x_inv(idx) for idx, sign in letters] or [GroupElement.identity()]
     while len(fs) > 1:
         fs = [multiply(u, w) for u, w in zip(fs[::2], fs[1::2])] + fs[len(fs) & ~1 :]
     return fs[0]

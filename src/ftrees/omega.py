@@ -53,9 +53,9 @@ class DiagonalProjection(tuple):
     Empty support is the zero projection; support ("",) is the identity.
     A projection is the canonical (n, ends) tuple of `_packed`, so equality
     and hashing are structural and p == (p.n, p.ends) with equal hashes;
-    `len`, indexing and iteration read that tuple, but `<`, `p + q`, `p * 2`
-    and `2 * p` raise TypeError.  `support`, the canonical word list, is
-    made on every read and never kept: a projection holds only intervals.
+    `len`, indexing and iteration read that tuple, but order and arithmetic raise
+    TypeError, tuple's reflected ones too (`(5,) + p`).  `support`, the canonical
+    word list, is made on every read and never kept: a projection holds only intervals.
     """
 
     __slots__ = ()
@@ -75,8 +75,11 @@ class DiagonalProjection(tuple):
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    __lt__ = __le__ = __gt__ = __ge__ = lambda self, other: NotImplemented
-    __add__ = __mul__ = __rmul__ = __lt__  # and no tuple arithmetic
+    def _refuse(self, other: object) -> None:
+        # raise, not return NotImplemented: tuple's own operation would then answer
+        raise TypeError("a projection has no order and no tuple arithmetic")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __radd__ = __mul__ = __rmul__ = _refuse
 
     @property
     def support(self) -> tuple[str, ...]:
@@ -176,9 +179,8 @@ def omega2_member(p: DiagonalProjection) -> Optional[tuple[int, int]]:
 
     The exponent is raised to the smallest odd value; raising it further
     by 2 multiplies k by 4 = 1 (mod 3), so the residue is well defined.
+    0 fails the residue test: its trace has k = 0.
     """
-    if p.is_zero():
-        return None
     t = trace(p)
     e = t.exponent if t.exponent % 2 == 1 else t.exponent + 1
     k = t.scaled(e)

@@ -104,48 +104,10 @@ class _Candidates:
 _CANDIDATES = _Candidates()
 
 
-def _separation(
-    fs: Sequence[GroupElement], max_radius: int
-) -> tuple[DiagonalProjection, tuple[DiagonalProjection, ...]]:
-    """The separating point of `separating_point` and its images.  Images stay raw until
-    the winner's are wrapped, and the two elements of each collision move to the front of
-    the scan, so the pairs that collided last go first."""
-    if len(set(fs)) < len(fs):  # no point separates an element from itself
-        raise ValueError("certificate requires pairwise distinct elements")
-    maps = [f._interval_map for f in fs]  # each f compiled once
-    if None in maps:
-        raise NotInF("separating points are defined for families in F")
-    if max_radius < 0:
-        raise ValueError("radius must be >= 0")
-    order = list(range(len(maps)))
-    i = 0
-    while (entry := _CANDIDATES.get(i))[0] <= max_radius:
-        i += 1
-        p = entry[1]
-        first: dict = {}  # image -> element, in the order of the scan
-        for b in order:
-            a = first.setdefault(maps[b].act(*p), b)
-            if a != b:
-                order.remove(a)
-                order.remove(b)
-                order[:0] = (a, b)
-                break
-        else:
-            return _wrap(p), tuple(map(_wrap, sorted(first, key=first.__getitem__)))
-    raise SearchExhausted(max_radius)
-
-
 def separating_point(fs: Sequence[GroupElement], max_radius: int = 8) -> DiagonalProjection:
-    """A projection p with f . p pairwise distinct over the family.
-
-    Candidates are p = g . 1 for g along one breadth-first walk of the
-    generator ball of radius max_radius, each point tested once and only
-    until its first repeated image; the first success in (radius,
-    discovery) order is returned, so the result is deterministic.  The
-    walk's points are kept once per process (`_Candidates`).  A family
-    with a repeated element raises ValueError before any action.
-    """
-    return _separation(fs, max_radius)[0]
+    """A projection p with f . p pairwise distinct over the family: the point of
+    `independence_certificate`, which says how the search runs and what it raises."""
+    return independence_certificate(fs, max_radius).point
 
 
 @dataclass(frozen=True)
@@ -175,6 +137,38 @@ class IndependenceCertificate:
 def independence_certificate(
     fs: Sequence[GroupElement], max_radius: int = 8
 ) -> IndependenceCertificate:
-    """Certificate that pi_2 of the given distinct elements is independent."""
-    p, images = _separation(fs, max_radius)  # verify() recomputes the images
-    return IndependenceCertificate(tuple(fs), p, images)
+    """Certificate that pi_2 of the given distinct elements is independent: the one
+    search for a separating point.
+
+    Candidates are p = g . 1 for g along one breadth-first walk of the generator ball of
+    radius max_radius, each point tested once and only until its first repeated image;
+    the first success in (radius, discovery) order is returned, so the result is
+    deterministic.  The two elements of each collision move to the front of the scan, so
+    the pairs that collided last go first, and images stay raw until the winner's are
+    wrapped.  The walk's points are kept once per process (`_Candidates`).  A family with
+    a repeated element raises ValueError before any action.
+    """
+    if len(set(fs)) < len(fs):  # no point separates an element from itself
+        raise ValueError("certificate requires pairwise distinct elements")
+    maps = [f._interval_map for f in fs]  # each f compiled once
+    if None in maps:
+        raise NotInF("separating points are defined for families in F")
+    if max_radius < 0:
+        raise ValueError("radius must be >= 0")
+    order = list(range(len(maps)))
+    i = 0
+    while (entry := _CANDIDATES.get(i))[0] <= max_radius:
+        i += 1
+        p = entry[1]
+        first: dict = {}  # image -> element, in the order of the scan
+        for b in order:
+            a = first.setdefault(maps[b].act(*p), b)
+            if a != b:
+                order.remove(a)
+                order.remove(b)
+                order[:0] = (a, b)
+                break
+        else:  # verify() recomputes the images
+            images = tuple(map(_wrap, sorted(first, key=first.__getitem__)))
+            return IndependenceCertificate(tuple(fs), _wrap(p), images)
+    raise SearchExhausted(max_radius)

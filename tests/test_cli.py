@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftrees import cli, generators, omega, words
+from ftrees import cli, generators, omega, representation, words
 from ftrees.boundary import PairTruncation, TreeTruncation
 from ftrees.cli import (
     MAX_UNNF_LETTERS,
@@ -425,6 +425,17 @@ def test_separate_certificate(capsys):
     data = json.loads(out)
     assert set(data) == {"p", "images", "elements"}
     assert len(data["images"]) == 2
+
+
+def test_separate_exits_2_when_the_ball_is_exhausted(capsys, monkeypatch):
+    # e and an H_2 element that moves only points inside I(2^12): no point of the
+    # radius-8 ball tells them apart, so the search walks a fresh table to its end
+    monkeypatch.setattr(representation, "_CANDIDATES", representation._Candidates())
+    h = [("111", "1"), ("112", "211"), ("121", "212"), ("122", "221"), ("2", "222")]
+    terms = [("2" * i + "1",) * 2 for i in range(12)] + [("2" * 12 + a, "2" * 12 + b) for a, b in h]
+    code, out, err = run_cli(capsys, "separate", "e:e", " + ".join(f"{a}:{b}" for a, b in terms))
+    assert (code, out) == (2, "")
+    assert err == "error: no separating point in the generator ball of radius 8\n"
 
 
 TREEPAIR_X0 = """digraph treepair {

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -268,6 +269,24 @@ def test_parse_generator_word_loose():
     assert letters == [(1, 1), (0, 1), (0, -1)]
     assert equals(element_of_word(letters), gen_x(1))
     assert element_of_word([]).is_identity()
+
+
+def test_a_word_builds_each_distinct_generator_once(monkeypatch):
+    rng = random.Random(12)
+    letters = [(rng.randrange(64), rng.choice((1, -1))) for _ in range(1000)]
+    built = []
+    make = generators.gen_x
+
+    def counting_gen_x(k):
+        built.append(k)
+        return make(k)
+
+    monkeypatch.setattr(generators, "gen_x", counting_gen_x)
+    f = element_of_word(letters)
+    assert sorted(built) == sorted({k for k, _ in letters})
+    # shared letters make the product of fresh ones, taken letter by letter
+    fresh = [make(k) if sign > 0 else inverse(make(k)) for k, sign in letters]
+    assert f == functools.reduce(multiply, fresh)
 
 
 def test_generators_match_their_closed_form():

@@ -507,6 +507,23 @@ def touches_at_a_term_boundary(f: GroupElement, p: DiagonalProjection) -> bool:
     )
 
 
+def kernel_paths(f: GroupElement, p: DiagonalProjection) -> list[str]:
+    """The paths of the parity kernel that f . p takes, read off the inputs:
+    per term, its degree parity and whether the set it carries (p or 1 - p)
+    holds I(beta)'s start, and whether that set runs on to I(beta)'s end;
+    and whether p is coarser than f's longest beta."""
+    r = region(p)
+    paths = ["coarse"] if p.n < max(len(t.beta) for t in f.terms) else []
+    for t in f.terms:
+        odd = (len(t.alpha) - len(t.beta)) % 2 == 1
+        lo, hi = interval_of_word(t.beta)
+        start_in = any(a <= lo < b for a, b in r) != odd
+        paths.append(f"{'odd' if odd else 'even'} start {'in' if start_in else 'out'}")
+        if any(a < hi <= b for a, b in r) != odd:
+            paths.append("to the end")
+    return paths
+
+
 def test_packed_act_merges_and_shifts_like_the_oracle(monkeypatch):
     rng = random.Random(16)
     shifts = []
@@ -521,16 +538,22 @@ def test_packed_act_merges_and_shifts_like_the_oracle(monkeypatch):
     seen = Counter()
     for f in elements:
         g = f._interval_map
-        for _ in range(5):
-            p = DiagonalProjection(random_antichain(rng, rng.randint(1, 8)))
+        # 0 and 1 as well: no end at all, and the coarsest input
+        ps = [DiagonalProjection(random_antichain(rng, rng.randint(1, 8))) for _ in range(5)]
+        for p in ps + [ZERO, ONE]:
             want = act_by_transport(f, p)
             shifts.clear()
             assert g.act(p.n, p.ends) == (want.n, want.ends)
             seen["touch" if touches_at_a_term_boundary(f, p) else "apart"] += 1
             seen["shift" if shifts[0] else "odd"] += 1
-    # every path of the kernel ran: merges at a term's first image, and
-    # images already canonical as well as ones that needed a shift
-    assert min(seen[k] for k in ("touch", "apart", "shift", "odd")) >= 20
+            seen.update(kernel_paths(f, p))
+    # every path of the kernel ran: merges at a term's first image; images
+    # already canonical as well as ones that needed a shift; for even and for
+    # odd terms, I(beta)'s start inside and outside the carried set; the
+    # carried set running on to I(beta)'s end; and inputs coarser than f
+    paths = ("even start in", "even start out", "odd start in", "odd start out")
+    paths += ("to the end", "coarse", "touch", "apart", "shift", "odd")
+    assert min(seen[k] for k in paths) >= 20, seen
 
 
 def test_canonical_shifts_only_without_an_odd_endpoint():
@@ -585,9 +608,9 @@ def test_projection_reads_as_its_tuple_but_does_no_tuple_arithmetic():
     assert len(p) == 2 and p[0] == 2 and p[1] == (1, 3) and tuple(p) == (2, (1, 3))
     n, ends = p
     assert (n, ends) == (p.n, p.ends)
-    # (5,) + p and p <= (5, ()) are tuple's own reflected operations: not pinned
     for sum_or_repeat in (
-        lambda: ONE + ONE, lambda: p + ONE, lambda: p + (5,), lambda: p * 2, lambda: 2 * p
+        lambda: ONE + ONE, lambda: p + ONE, lambda: p + (5,), lambda: p * 2, lambda: 2 * p,
+        lambda: (5,) + ONE, lambda: ONE <= (5, ()), lambda: (5, ()) >= ONE, lambda: ONE < (9,),
     ):
         with pytest.raises(TypeError):
             sum_or_repeat()
@@ -697,6 +720,23 @@ def test_realize_deep_single_word():
     p = DiagonalProjection(["1" * 1199 + "2"])
     assert omega2_member(p) == (2, 600)
     assert_realizes(p)
+
+
+def test_printing_a_witness_keeps_no_list_of_term_words():
+    # 64 two-cell intervals at level 45, 2^35 cells apart: a witness of
+    # many terms with long words, whose text `str` makes term by term
+    to_word = str.maketrans("01", "12")
+    cells = [bin((i << 35) + d | 1 << 45)[3:].translate(to_word) for i in range(64) for d in (1, 2)]
+    f = realize(DiagonalProjection(cells))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        text = str(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(f.terms) > 2000 and text.count(":") == len(f.terms)
+    assert peak < 4 * len(text)
 
 
 def test_complement_of_deep_word():
