@@ -15,11 +15,11 @@ window to reach f's domain tree (see `window_requirement`).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import _packed
+from ._frozen import Frozen
 from .elements import GroupElement, NotInF, height, is_order_preserving
 from .omega import (
     ONE, ZERO, DiagonalProjection, InternalSearchExhausted, _wrap, act, complement, join, meet,
@@ -54,8 +54,7 @@ def _cells(p: DiagonalProjection, j: int) -> list[int]:
     return [c for a, b in zip(ends[::2], ends[1::2]) for c in range(a << j - n, b << j - n)]
 
 
-@dataclass(frozen=True)
-class TreeTruncation:
+class TreeTruncation(Frozen):
     """Depth-k window on a rooted subtree without leaves (or the empty tree).
 
     Stored as the depth and `cells`, the union of the cylinders of the
@@ -63,6 +62,7 @@ class TreeTruncation:
     meet `cells`, and they are listed only on demand.
     """
 
+    _fields = ("depth", "cells")
     depth: int
     cells: DiagonalProjection
 
@@ -81,9 +81,8 @@ class TreeTruncation:
                 raise MalformedPair(f"vertex set not prefix-closed at {v!r}")
             if len(v) < depth and v + "1" not in vs and v + "2" not in vs:
                 raise MalformedPair(f"vertex {v!r} is a leaf above the cut depth")
-        object.__setattr__(self, "depth", depth)
         frontier = [v for v in ordered if len(v) == depth]
-        object.__setattr__(self, "cells", _wrap(_packed.pack(frontier)))
+        self.__dict__.update(depth=depth, cells=_wrap(_packed.pack(frontier)))
 
     @classmethod
     def of_projection(cls, p: DiagonalProjection, depth: int) -> "TreeTruncation":
@@ -91,8 +90,7 @@ class TreeTruncation:
         if depth < 0:
             raise MalformedPair("depth must be >= 0")
         t = object.__new__(cls)
-        object.__setattr__(t, "depth", depth)
-        object.__setattr__(t, "cells", _wrap(_packed.round_out(*p, depth)))
+        t.__dict__.update(depth=depth, cells=_wrap(_packed.round_out(*p, depth)))
         return t
 
     @classmethod
@@ -131,17 +129,18 @@ class TreeTruncation:
         return "{" + ", ".join(word_to_str(v) for v in self.sorted_vertices()) + "}"
 
 
-@dataclass(frozen=True)
-class PairTruncation:
+class PairTruncation(Frozen):
     """A depth-k window on a point of the compactification: its trees
     have one depth and together meet every vertex."""
 
+    _fields = ("left", "right")
     left: TreeTruncation
     right: TreeTruncation
 
-    def __post_init__(self) -> None:
-        if self.left.depth != self.right.depth:
-            raise MalformedPair(f"depth mismatch: {self.left.depth} vs {self.right.depth}")
+    def __init__(self, left: TreeTruncation, right: TreeTruncation) -> None:
+        if left.depth != right.depth:
+            raise MalformedPair(f"depth mismatch: {left.depth} vs {right.depth}")
+        self.__dict__.update(left=left, right=right)
         if not self.covers():
             raise MalformedPair("support and cosupport windows must cover every vertex")
 
@@ -164,8 +163,9 @@ def _window(k: int, left: DiagonalProjection, right: DiagonalProjection) -> Pair
     """The depth-k window meeting `left` and `right`, built unchecked: every
     caller passes two regions whose union is 1, so its trees cover."""
     pair = object.__new__(PairTruncation)
-    object.__setattr__(pair, "left", TreeTruncation.of_projection(left, k))
-    object.__setattr__(pair, "right", TreeTruncation.of_projection(right, k))
+    pair.__dict__.update(
+        left=TreeTruncation.of_projection(left, k), right=TreeTruncation.of_projection(right, k)
+    )
     return pair
 
 

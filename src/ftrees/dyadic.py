@@ -8,16 +8,17 @@ in lowest terms as ``k/2^e``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import total_ordering
 from typing import Union
 
+from ._frozen import Frozen
+
 
 @total_ordering
-@dataclass(frozen=True, slots=True)
-class Dyadic:
+class Dyadic(Frozen):
     """numerator / 2**exponent, stored in lowest terms (exponent >= 0)."""
 
+    __slots__ = _fields = ("numerator", "exponent")
     numerator: int
     exponent: int
 
@@ -33,6 +34,10 @@ class Dyadic:
             exponent = 0
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "exponent", exponent)
+
+    def __reduce__(self):
+        """Rebuild from the fields: the default would set the slots, which refuse."""
+        return Dyadic, (self.numerator, self.exponent)
 
     @classmethod
     def _coerce(cls, value: Union["Dyadic", int]) -> "Dyadic":

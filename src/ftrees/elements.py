@@ -12,11 +12,11 @@ once, by `validate_unitary`; what is built from them is not rechecked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from ._frozen import Frozen
 from ._packed import PackedElement, interval, word
 from .words import (
     CompleteCode, Quad, _diagonal, _merge_walk, _read, _tiles, _tiling, word_to_str,
@@ -78,8 +78,7 @@ def _reduce_terms(quads: Iterable[Quad]) -> tuple[Quad, ...]:
     return tuple(stack)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Frozen):
     """Canonical (reduced, alpha-sorted) unitary word sum.
 
     Each term is stored as its two intervals (`words.Quad`); `terms`, the
@@ -88,10 +87,20 @@ class GroupElement:
     as :func:`validate_unitary` does, raising `NotUnitary` if not unitary.
     """
 
+    _fields = ("_quads",)
     _quads: tuple[Quad, ...]
 
     def __init__(self, terms: Iterable[tuple[str, str]]) -> None:
         self.__dict__.update(validate_unitary(list(terms)).__dict__)
+
+    # compared and hashed directly, not field by field: both are hot in `_ball_walk`'s dedupe
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._quads == other._quads
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._quads,))
 
     @cached_property
     def terms(self) -> tuple[Term, ...]:
@@ -241,8 +250,10 @@ def multiply(u: GroupElement, w: GroupElement) -> GroupElement:
 
 def inverse(u: GroupElement) -> GroupElement:
     """Swap alpha and beta in every term and sort by alpha; reducedness is preserved."""
-    swapped = _sorted([(lb, vb, la, va) for la, va, lb, vb in u._quads], 0)
-    return _element(tuple(swapped), u.__dict__.get("_in_f"))
+    in_f = u.__dict__.get("_in_f")
+    swapped = [(lb, vb, la, va) for la, va, lb, vb in u._quads]
+    # recorded in F, beta order is alpha order: sorted anyway, inverses in F took 3x as long
+    return _element(tuple(swapped if in_f else _sorted(swapped, 0)), in_f)
 
 
 def is_order_preserving(u: GroupElement) -> bool:

@@ -16,11 +16,11 @@ pair with the element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from operator import add, itemgetter
 from typing import Iterable, Iterator
 
+from ._frozen import Frozen
 from .elements import GroupElement, NotInF, _element, inverse, is_order_preserving, multiply
 
 
@@ -36,30 +36,31 @@ def equals(f: GroupElement, g: GroupElement) -> bool:
     return f == g
 
 
-@dataclass(frozen=True)
-class NormalFormWord:
+class NormalFormWord(Frozen):
     """Exponent word x_{j1}..x_{jk} x_{il}^-1..x_{i1}^-1, both lists stored
     in non-decreasing order."""
 
+    _fields = ("positive", "negative")
     positive: tuple[int, ...]
     negative: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, positive: tuple[int, ...], negative: tuple[int, ...]) -> None:
         # min and sorted run at C speed: with generator scans, word-problem `nf` ran 5 % slower
-        for name, seq in (("positive", self.positive), ("negative", self.negative)):
+        for name, seq in (("positive", positive), ("negative", negative)):
             if seq and min(seq) < 0:
                 raise ValueError(f"{name} indices must be >= 0")
             if list(seq) != sorted(seq):
                 raise ValueError(f"{name} indices must be non-decreasing")
-        if self.positive and self.negative and self.positive[-1] == self.negative[-1]:
+        if positive and negative and positive[-1] == negative[-1]:
             raise ValueError("j_k = i_l: the word is freely reducible")
-        both = set(self.positive) & set(self.negative)
-        either = set(self.positive) | set(self.negative)
+        both = set(positive) & set(negative)
+        either = set(positive) | set(negative)
         for m in both:
             if m + 1 not in either:
                 raise ValueError(
                     f"x_{m} occurs with both signs but x_{m + 1} with neither"
                 )
+        self.__dict__.update(positive=positive, negative=negative)
 
     def letters(self) -> list[tuple[int, int]]:
         """(index, sign) letters in reading order."""

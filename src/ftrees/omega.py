@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import operator
 import time
-from dataclasses import FrozenInstanceError, dataclass
 from itertools import accumulate
 from typing import Iterable, Optional
 
 from . import _packed
+from ._frozen import Frozen, frozen_error
 from .dyadic import Dyadic
 from .elements import (
     GroupElement,
@@ -73,7 +73,7 @@ class DiagonalProjection(tuple):
         return _wrap, (tuple(self),)
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise frozen_error(f"cannot assign to field {name!r}")
 
     def _refuse(self, other: object) -> None:
         # raise, not return NotImplemented: tuple's own operation would then answer
@@ -277,18 +277,23 @@ def realize(p: DiagonalProjection) -> GroupElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitRun:
+class OrbitRun(Frozen):
     """Result of a breadth-first orbit sweep.  `depths` is in discovery
     order, the start and then depth by depth, which `levels` cuts into
     spheres: one (depth, frontier, new, seconds) record a level.  `action_evaluations`
     counts the (point, generator) pairs resolved, four per expanded point; the
     step back to a point's parent is answered by the group law, not computed."""
 
+    _fields = ("depths", "action_evaluations", "seconds", "levels")
     depths: dict[DiagonalProjection, int]
     action_evaluations: int
     seconds: float
     levels: list[tuple[int, int, int, float]]
+
+    def __init__(self, depths: dict, action_evaluations: int, seconds: float, levels: list) -> None:
+        self.__dict__.update(
+            depths=depths, action_evaluations=action_evaluations, seconds=seconds, levels=levels
+        )
 
 
 def orbit_levels(start: DiagonalProjection, depth: int) -> OrbitRun:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import sys
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from ._frozen import Frozen
 from ._packed import PackedElement
 from .elements import GroupElement, NotInF, is_order_preserving
 from .generators import _ball_walk
@@ -28,10 +28,10 @@ class SearchExhausted(RuntimeError):
         self.radius = radius
 
 
-@dataclass(frozen=True)
-class FormalVector:
+class FormalVector(Frozen):
     """Finitely supported rational combination of basis projections."""
 
+    _fields = ("coefficients",)
     coefficients: tuple[tuple[DiagonalProjection, Fraction], ...]
 
     def __init__(
@@ -46,7 +46,7 @@ class FormalVector:
                 raise ValueError(f"basis projection {p} is not in Omega_2")
             items.append((p, c))
         items.sort(key=lambda pc: pc[0].support)
-        object.__setattr__(self, "coefficients", tuple(items))
+        self.__dict__["coefficients"] = tuple(items)
 
     @classmethod
     def basis(cls, p: DiagonalProjection) -> "FormalVector":
@@ -110,17 +110,20 @@ def separating_point(fs: Sequence[GroupElement], max_radius: int = 8) -> Diagona
     return independence_certificate(fs, max_radius).point
 
 
-@dataclass(frozen=True)
-class IndependenceCertificate:
+class IndependenceCertificate(Frozen):
     """A point whose orbit images certify linear independence.
 
     Distinct basis deltas are linearly independent, so pairwise distinct
     images of one projection witness independence of the pi_2(f_i).
     """
 
+    _fields = ("elements", "point", "images")
     elements: tuple[GroupElement, ...]
     point: DiagonalProjection
     images: tuple[DiagonalProjection, ...]
+
+    def __init__(self, elements: tuple, point: DiagonalProjection, images: tuple) -> None:
+        self.__dict__.update(elements=elements, point=point, images=images)
 
     def verify(self) -> bool:
         recomputed = tuple(act(f, self.point) for f in self.elements)

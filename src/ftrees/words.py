@@ -9,11 +9,11 @@ unit interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 from . import _packed
+from ._frozen import Frozen
 from .dyadic import Dyadic
 
 ALPHABET = ("1", "2")
@@ -99,16 +99,16 @@ def _tiling(words: Sequence[str], table: dict) -> tuple[list[tuple[int, int]], l
     return ints, order
 
 
-@dataclass(frozen=True)
-class CompleteCode:
+class CompleteCode(Frozen):
     """A complete prefix code: lex-sorted words whose intervals tile [0, 1]
     (an antichain with Kraft sum 1), checked once by `_tiling`."""
 
+    _fields = ("words",)
     words: tuple[str, ...]
 
     def __init__(self, words: Iterable[str]) -> None:
         ws = tuple(words)
-        object.__setattr__(self, "words", tuple(ws[i] for i in _tiling(ws, {})[1]))
+        self.__dict__["words"] = tuple(ws[i] for i in _tiling(ws, {})[1])
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.words)

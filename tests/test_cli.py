@@ -294,6 +294,20 @@ def test_a_full_disk_on_stdout_exits_2_in_one_line_in_a_real_process():
         ), argv
 
 
+def test_importing_the_cli_imports_neither_dataclasses_nor_inspect():
+    # start-up is most of what a one-shot command costs, and `dataclasses`, with the
+    # `inspect` it imports, was the largest part of it; -S keeps `site` hooks out
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import ftrees, ftrees.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, src], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 class FullStdout(io.StringIO):
     """A stdout on a full disk: every write fails."""
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from ftrees.elements import (
     Side,
     TargetNotARefinement,
     Term,
+    _element,
     _reduce_terms,
     abelianization,
     height,
@@ -585,6 +587,21 @@ def test_inverse_golden():
         ("21", "12"),
         ("22", "2"),
     ]
+
+
+def test_inverse_of_f_t_and_v_elements_recorded_or_not_is_the_sorted_swap():
+    # the inverse of an element recorded in F skips the sort
+    rng = random.Random(24)
+    kinds = Counter()
+    for _ in range(300):
+        f = GroupElement(zip(*random_pairing(rng, rng.randint(1, 40))))
+        kinds[is_order_preserving(f), is_cyclic_order_preserving(f)] += 1
+        want = tuple(sorted(Term(b, a) for a, b in f.terms))
+        for g in (_element(f._quads), _element(f._quads, f._in_f)):
+            inv = inverse(g)
+            assert inv.terms == want and inv == reduce(want)
+            assert inv.__dict__.get("_in_f") == g.__dict__.get("_in_f")
+    assert min(kinds.values()) >= 50 and len(kinds) == 3
 
 
 def test_multiply_associative_on_ball():
