@@ -102,6 +102,10 @@ class GroupElement(Frozen):
     def __hash__(self) -> int:
         return hash((self._quads,))
 
+    def __reduce__(self):
+        """The terms and recorded F membership; never the kept words or `_interval_map`."""
+        return _element, (self._quads, self.__dict__.get("_in_f"))
+
     @cached_property
     def terms(self) -> tuple[Term, ...]:
         return tuple(Term(word(la, va), word(lb, vb)) for la, va, lb, vb in self._quads)

@@ -6,7 +6,8 @@ generator actions are hardcoded from their closed forms, the action on
 projections is string transport of support words, refinement and
 multiplication are prefix scans and a dictionary match, a generator
 word is multiplied out letter by letter from the closed form of x_k and
-sibling-merged to a fixed point over a dictionary, codes are
+sibling-merged to a fixed point over a dictionary, normal forms are
+read off leaf words by counting trailing letters, codes are
 checked by a prefix scan of their sorted words, F and T membership is
 read off the position map of the two sorted codes, traces and set
 operations are exact fractions on the covered region of [0, 1), tree
@@ -435,10 +436,31 @@ def product_of_word(letters) -> tuple[Term, ...]:
     return acc.terms
 
 
-def random_normal_form(rng: random.Random, letters: int) -> NormalFormWord:
+def leaf_exponents_by_words(leaves) -> tuple[int, ...]:
+    """Each index i repeated a_i times, a_i the exponent of leaf word i:
+    its trailing "1"s, less one when the stem before them is all "2"s."""
+    out: list[int] = []
+    for i, w in enumerate(leaves):
+        stem = w.rstrip("1")
+        r = len(w) - len(stem)
+        out += [i] * (r - 1 if r and stem == "2" * len(stem) else r)
+    return tuple(out)
+
+
+def normal_form_by_words(f: GroupElement) -> NormalFormWord:
+    """The normal form read off the leaf words of the range (alpha) and
+    the domain (beta) tree of the reduced pair."""
+    return NormalFormWord(
+        leaf_exponents_by_words(t.alpha for t in f.terms),
+        leaf_exponents_by_words(t.beta for t in f.terms),
+    )
+
+
+def random_normal_form(rng: random.Random, letters: int, top: int | None = None) -> NormalFormWord:
     """A valid normal form of exactly `letters` letters: sorted random
-    indices, then each violation mended by raising a negative index."""
-    top = max(2, letters // 2)
+    indices up to `top` (default letters // 2, at least 2), then each
+    violation mended by raising a negative index."""
+    top = max(2, letters // 2) if top is None else top
     n_pos = rng.randint(0, letters)
     pos = sorted(rng.randint(0, top) for _ in range(n_pos))
     neg = sorted(rng.randint(0, top) for _ in range(letters - n_pos))

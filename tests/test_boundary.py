@@ -2,7 +2,6 @@ import random
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -26,6 +25,7 @@ from ftrees.elements import GroupElement, NotInF, height
 from ftrees.generators import _generators, gen_x, generator_ball
 from ftrees.omega import ONE, ZERO, DiagonalProjection, act, omega2_member, orbit, trace
 
+from children import child_env
 from oracles import (
     act_by_transport,
     act_on_window,
@@ -427,10 +427,9 @@ for name, fill in [
 
 
 def test_witness_is_checked_under_python_O():
-    src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run(
         [sys.executable, "-O", "-c", _SABOTAGED_WITNESS],
-        env={"PYTHONPATH": src},
+        env=child_env(),
         capture_output=True,
         text=True,
         check=True,

@@ -9,7 +9,6 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +32,7 @@ from ftrees.generators import from_normal_form, gen_x, generator_ball
 from ftrees.omega import ONE, DiagonalProjection, orbit, orbit_levels
 from ftrees.representation import independence_certificate
 
+from children import child_env
 from oracles import pattern_window, random_normal_form
 
 
@@ -265,10 +265,9 @@ def test_orbit_out_to_a_bad_path_exits_2_in_one_line(capsys, tmp_path):
 
 def test_orbit_to_a_reader_that_stops_early_exits_0_quietly():
     # the orbit is written level by level, so `| head` closes the pipe mid-write
-    src = str(Path(__file__).resolve().parents[1] / "src")
     with subprocess.Popen(
         [sys.executable, "-m", "ftrees.cli", "orbit", "1", "--depth", "9"],
-        env={"PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     ) as proc:
         assert proc.stdout.read(100).startswith(b'{"count": 14715, "depth": 9')
         proc.stdout.close()
@@ -279,13 +278,12 @@ def test_orbit_to_a_reader_that_stops_early_exits_0_quietly():
 def test_a_full_disk_on_stdout_exits_2_in_one_line_in_a_real_process():
     # a buffered stdout keeps the unwritten bytes, so the interpreter's flush
     # at exit would fail again (a second message, exit status 120)
-    src = str(Path(__file__).resolve().parents[1] / "src")
     cases = (("trace", "P[111]+P[2]"), ("member", "--set", "f", "11:1+12:21+2:22"),
              ("orbit", "1", "--depth", "6"))
     for argv in cases:
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
-                [sys.executable, "-m", "ftrees.cli", *argv], env={"PYTHONPATH": src},
+                [sys.executable, "-m", "ftrees.cli", *argv], env=child_env(),
                 stdout=full, stderr=subprocess.PIPE, timeout=60,
             )
         assert proc.returncode == 2, argv
@@ -297,13 +295,13 @@ def test_a_full_disk_on_stdout_exits_2_in_one_line_in_a_real_process():
 def test_importing_the_cli_imports_neither_dataclasses_nor_inspect():
     # start-up is most of what a one-shot command costs, and `dataclasses`, with the
     # `inspect` it imports, was the largest part of it; -S keeps `site` hooks out
-    src = str(Path(__file__).resolve().parents[1] / "src")
     probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import ftrees, ftrees.cli; "
+        "import sys, ftrees, ftrees.cli; "
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe, src], capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-c", probe], env=child_env(), capture_output=True, text=True,
+        timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
@@ -418,11 +416,10 @@ FAULTY_WINDOW = json.dumps(
 
 
 def test_a_window_with_several_faults_reports_one_under_any_hash_seed():
-    src = str(Path(__file__).resolve().parents[1] / "src")
     runs = [
         subprocess.run(
             [sys.executable, "-m", "ftrees.cli", "realizable", FAULTY_WINDOW],
-            env={"PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            env=child_env(PYTHONHASHSEED=seed),
             capture_output=True,
             text=True,
         )

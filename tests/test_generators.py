@@ -4,6 +4,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftrees import generators
 from ftrees.elements import (
@@ -25,7 +27,13 @@ from ftrees.generators import (
     to_normal_form,
 )
 
-from oracles import generator_terms, merge_siblings, product_of_word, random_normal_form
+from oracles import (
+    generator_terms,
+    merge_siblings,
+    normal_form_by_words,
+    product_of_word,
+    random_normal_form,
+)
 
 
 def test_gen_x_goldens():
@@ -154,6 +162,21 @@ def test_normal_form_of_random_tree_pairs():
         assert equals(from_normal_form(to_normal_form(f)), f)
 
 
+@st.composite
+def tree_pairs(draw) -> GroupElement:
+    """The reduced element of two random trees with the same number of leaves."""
+    rng, n = draw(st.randoms(use_true_random=False)), draw(st.integers(1, 30))
+    return GroupElement(zip(_random_tree(rng, n), _random_tree(rng, n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(tree_pairs(), st.sampled_from(generator_ball(4))))
+def test_normal_forms_match_the_leaf_word_oracle(f):
+    nf = to_normal_form(f)
+    assert nf == normal_form_by_words(f)
+    assert from_normal_form(nf).terms == product_of_word(nf.letters())
+
+
 def test_to_normal_form_requires_f():
     t_gen = GroupElement.from_terms([("22", "1"), ("1", "21"), ("21", "22")])
     with pytest.raises(NotInF):
@@ -190,15 +213,11 @@ def test_normal_form_certificate_rejects_a_wrong_exponent(monkeypatch):
     # raise one exponent of the range tree: the word stays a valid normal
     # form, of another element, so only the certificate can catch it
     read = generators._leaf_exponents
-    calls = itertools.count()
 
-    def perturbed(leaves):
-        leaves = list(leaves)
-        out = read(leaves)
-        if next(calls) % 2:
-            return out
-        extra = out[0] if out else len(leaves)
-        return tuple(sorted(out + (extra,)))
+    def perturbed(f):
+        pos, neg = read(f)
+        extra = pos[0] if pos else len(f._quads)
+        return tuple(sorted(pos + (extra,))), neg
 
     rng = random.Random(41)
     ball = generator_ball(3)

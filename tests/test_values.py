@@ -13,7 +13,8 @@ from ftrees import (
     ONE, CompleteCode, DiagonalProjection, Dyadic, FormalVector, GroupElement,
     IndependenceCertificate, NormalFormWord, PairTruncation, TreeTruncation, embed,
 )
-from ftrees.omega import OrbitRun
+from ftrees.generators import generator_ball
+from ftrees.omega import OrbitRun, act
 
 P1, P2, P12 = DiagonalProjection(["1"]), DiagonalProjection(["2"]), DiagonalProjection(["12"])
 X0 = "11:1 + 12:21 + 2:22"
@@ -142,3 +143,22 @@ def test_copies_and_pickles_are_equal(v, same, other, fields, text):
     copies += [pickle.loads(pickle.dumps(v, protocol)) for protocol in protocols]
     for c in copies:
         assert type(c) is type(v) and c == v and repr(c) == text
+
+
+def test_an_element_that_has_acted_copies_and_pickles_without_its_interval_map():
+    # acting compiles a slotted interval map onto the element, which pickle
+    # protocols 0 and 1 refuse; copies keep only the terms and F membership
+    g = generator_ball(3)[-1]
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    before = [len(pickle.dumps(g, protocol)) for protocol in protocols]
+    image = act(g, ONE)
+    assert "_interval_map" in vars(g)
+    copies = [copy.copy(g), copy.deepcopy(g)]
+    for protocol, size in zip(protocols, before):
+        data = pickle.dumps(g, protocol)
+        assert len(data) <= size, protocol
+        copies.append(pickle.loads(data))
+    for c in copies:
+        assert type(c) is GroupElement and c == g and str(c) == str(g)
+        assert set(vars(c)) == {"_quads", "_in_f"}
+        assert act(c, ONE) == image
