@@ -23,6 +23,9 @@ class Dyadic(Frozen):
     exponent: int
 
     def __init__(self, numerator: int, exponent: int = 0) -> None:
+        for value in (numerator, exponent):
+            if not isinstance(value, int):
+                raise TypeError(f"numerator and exponent must be integers, not {value!r}")
         if exponent < 0:
             numerator <<= -exponent
             exponent = 0

@@ -93,7 +93,7 @@ class GroupElement(Frozen):
     def __init__(self, terms: Iterable[tuple[str, str]]) -> None:
         self.__dict__.update(validate_unitary(list(terms)).__dict__)
 
-    # compared and hashed directly, not field by field: both are hot in `_ball_walk`'s dedupe
+    # compared and hashed directly, not field by field: both are hot in `_next_sphere`'s dedupe
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return self._quads == other._quads

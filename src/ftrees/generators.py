@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import count
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
 from ._frozen import Frozen
 from .elements import GroupElement, NotInF, _element, inverse, is_order_preserving, multiply
@@ -208,29 +208,31 @@ def _generators() -> tuple[tuple[str, GroupElement], ...]:
     return (("x0", x0), ("x0^-1", inverse(x0)), ("x1", x1), ("x1^-1", inverse(x1)))
 
 
-def _ball_walk(radius: int) -> Iterator[tuple[int, GroupElement]]:
-    """(r, g) for the distinct elements g of word length <= radius over
-    x0^+-1, x1^+-1, r the word length of g, yielded lazily in breadth-first
-    discovery order (deterministic)."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+def _next_sphere(inner: Sequence, sphere: Sequence) -> list[GroupElement]:
+    """The elements of word length r + 1 over x0^+-1, x1^+-1 from those of
+    lengths r - 1 (`inner`) and r (`sphere`), in breadth-first discovery
+    order: each element of `sphere` times each generator, in turn.  A
+    neighbour of an element of length r has length r - 1, r or r + 1, so
+    these two spheres and the new one are all the dedupe needs."""
     gens = [g for _, g in _generators()]
-    frontier = [GroupElement.identity()]
-    seen = {frontier[0]}
-    yield 0, frontier[0]
-    for r in range(1, radius + 1):
-        nxt: list[GroupElement] = []
-        for f in frontier:
-            for g in gens:
-                h = multiply(f, g)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-                    yield r, h
-        frontier = nxt
+    seen, out = {*inner, *sphere}, []
+    for f in sphere:
+        for g in gens:
+            h = multiply(f, g)
+            if h not in seen:
+                seen.add(h)
+                out.append(h)
+    return out
 
 
 def generator_ball(radius: int) -> list[GroupElement]:
     """Distinct elements of word length <= radius over x0^+-1, x1^+-1,
-    in breadth-first discovery order (deterministic)."""
-    return [g for _, g in _ball_walk(radius)]
+    in breadth-first discovery order (deterministic), sphere by sphere."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    inner, sphere = [], [GroupElement.identity()]
+    ball = list(sphere)
+    for _ in range(radius):
+        inner, sphere = sphere, _next_sphere(inner, sphere)
+        ball += sphere
+    return ball

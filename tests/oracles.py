@@ -13,8 +13,10 @@ read off the position map of the two sorted codes, traces and set
 operations are exact fractions on the covered region of [0, 1), tree
 windows are dense vertex sets moved by string transport,
 realizability is decided by exhausting fill counts, the parity tree of
-a realize witness is grown on sorted support words, and a separating
-point is searched by acting on every element of the generator ball.
+a realize witness is grown on sorted support words, the generator ball
+is walked breadth first over words and deduplicated by their
+letter-by-letter products, and a separating point is searched by acting
+on every element of that ball.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 
 from ftrees.elements import GroupElement, Side, TargetNotARefinement, Term
-from ftrees.generators import NormalFormWord, generator_ball
+from ftrees.generators import NormalFormWord
 from ftrees.omega import ONE, DiagonalProjection, act
 from ftrees.words import CompleteCode, check_word, word_to_str
 
@@ -426,13 +428,18 @@ def merge_siblings(terms) -> tuple[Term, ...]:
     return tuple(sorted(Term(a, b) for a, b in beta_of.items()))
 
 
+def times_letter(acc: GroupElement, k: int, sign: int) -> GroupElement:
+    """acc x_k^sign by the dictionary match, sibling-merged."""
+    g = GroupElement(generator_terms(k, sign))
+    return GroupElement(merge_siblings(multiply_terms_by_match(acc, g)))
+
+
 def product_of_word(letters) -> tuple[Term, ...]:
     """Canonical terms of a generator word of (index, sign) letters,
     multiplied out one letter at a time by the dictionary match."""
     acc = GroupElement((Term("", ""),))
     for k, sign in letters:
-        g = GroupElement(generator_terms(k, sign))
-        acc = GroupElement(merge_siblings(multiply_terms_by_match(acc, g)))
+        acc = times_letter(acc, k, sign)
     return acc.terms
 
 
@@ -674,19 +681,40 @@ def realize_by_words(p: DiagonalProjection) -> tuple[list[Term], int]:
 
 
 @cache
-def _ball(radius: int) -> list[GroupElement]:
-    return generator_ball(radius)
+def ball_by_words(radius: int) -> tuple[GroupElement, ...]:
+    """The distinct elements of word length <= radius over x0^+-1, x1^+-1,
+    breadth first: the ball of radius - 1, then each element of its last
+    sphere times x0, x0^-1, x1 and x1^-1 in turn, by the letter step of
+    `product_of_word`, each kept at its first sighting against every
+    element seen so far."""
+    if radius == 0:
+        return (GroupElement((Term("", ""),)),)
+    inner = ball_by_words(radius - 1)
+    seen = {f.terms for f in inner}
+    sphere: list[GroupElement] = []
+    for f in inner[len(ball_by_words(radius - 2)) if radius > 1 else 0 :]:
+        for k, sign in ((0, 1), (0, -1), (1, 1), (1, -1)):
+            h = times_letter(f, k, sign)
+            if h.terms not in seen:
+                seen.add(h.terms)
+                sphere.append(h)
+    return inner + tuple(sphere)
 
 
 def separation_by_ball(
     fs: list[GroupElement], max_radius: int
 ) -> tuple[DiagonalProjection, tuple[DiagonalProjection, ...]] | None:
-    """The first point g . 1, g along generator_ball(max_radius), whose
+    """The first point g . 1, g along ball_by_words(max_radius), whose
     images under the family are pairwise distinct, and those images;
-    None if there is none.  Every element is acted on, repeats included."""
-    for g in _ball(max_radius):
-        p = act(g, ONE)
-        images = tuple(act(f, p) for f in fs)
-        if len(set(images)) == len(images):
-            return p, images
+    None if there is none.  Every element is acted on, repeats included.
+    The ball grows one radius at a time, only as far as the search goes."""
+    tested = 0
+    for radius in range(max_radius + 1):
+        ball = ball_by_words(radius)
+        for g in ball[tested:]:
+            p = act(g, ONE)
+            images = tuple(act(f, p) for f in fs)
+            if len(set(images)) == len(images):
+                return p, images
+        tested = len(ball)
     return None

@@ -438,10 +438,10 @@ def test_separate_certificate(capsys):
     assert len(data["images"]) == 2
 
 
-def test_separate_exits_2_when_the_ball_is_exhausted(capsys, monkeypatch):
+def test_separate_exits_2_when_the_ball_is_exhausted(capsys):
     # e and an H_2 element that moves only points inside I(2^12): no point of the
-    # radius-8 ball tells them apart, so the search walks a fresh table to its end
-    monkeypatch.setattr(representation, "_CANDIDATES", representation._Candidates())
+    # radius-8 ball tells them apart, so the search walks every layer afresh to its end
+    representation._layer.cache_clear()
     h = [("111", "1"), ("112", "211"), ("121", "212"), ("122", "221"), ("2", "222")]
     terms = [("2" * i + "1",) * 2 for i in range(12)] + [("2" * 12 + a, "2" * 12 + b) for a, b in h]
     code, out, err = run_cli(capsys, "separate", "e:e", " + ".join(f"{a}:{b}" for a, b in terms))

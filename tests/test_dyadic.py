@@ -1,4 +1,5 @@
 import operator
+import re
 import time
 from fractions import Fraction
 
@@ -85,3 +86,10 @@ def test_scaled():
     assert Dyadic(5, 3).scaled(5) == 20
     with pytest.raises(ValueError):
         Dyadic(5, 3).scaled(2)
+
+
+def test_only_integers_build_a_dyadic():
+    half = Fraction(1, 2)
+    for args, bad in (((0.5,), 0.5), ((1, 0.5), 0.5), ((half,), half), (("1",), "1"), ((3, 2.0), 2.0)):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            Dyadic(*args)

@@ -28,6 +28,7 @@ from ftrees.generators import (
 )
 
 from oracles import (
+    ball_by_words,
     generator_terms,
     merge_siblings,
     normal_form_by_words,
@@ -263,6 +264,16 @@ def test_ball_round_trip_and_counts():
         assert equals(from_normal_form(nf), f)
         forms.add((nf.positive, nf.negative))
     assert len(forms) == len(ball)
+
+
+def test_generator_ball_is_the_walk_over_words():
+    # the oracle keeps every element it has seen and multiplies words letter by letter
+    sizes = []
+    for r in range(6):
+        ball = generator_ball(r)
+        assert [f.terms for f in ball] == [f.terms for f in ball_by_words(r)]
+        sizes.append(len(ball))
+    assert sizes == [1, 5, 17, 53, 161, 475]
 
 
 def test_negative_radius_is_rejected():

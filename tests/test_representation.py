@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -9,8 +10,8 @@ import pytest
 
 from ftrees import _packed, representation
 from ftrees.elements import GroupElement, NotInF, inverse, multiply
-from ftrees.generators import _ball_walk, gen_x, generator_ball
-from ftrees.omega import ONE, DiagonalProjection, act, h2_member
+from ftrees.generators import gen_x, generator_ball
+from ftrees.omega import ONE, DiagonalProjection, _wrap, act, h2_member
 from ftrees.representation import (
     FormalVector,
     IndependenceCertificate,
@@ -20,7 +21,7 @@ from ftrees.representation import (
     separating_point,
 )
 
-from oracles import separation_by_ball
+from oracles import ball_by_words, separation_by_ball
 
 
 def test_vector_validation_and_normalization():
@@ -31,6 +32,16 @@ def test_vector_validation_and_normalization():
     assert str(FormalVector.basis(ONE)) == "1*d[1]"
     with pytest.raises(ValueError):
         FormalVector({DiagonalProjection(["1"]): 1})  # not in Omega_2
+
+
+def test_vector_coefficients_are_exact():
+    # a float would be read as its binary value, a string parsed: both refused
+    for c in (0.1, 1.0, 0.0, "1/3", None):
+        message = f"^coefficient {re.escape(repr(c))} is not an int or a Fraction$"
+        with pytest.raises(TypeError, match=message):
+            FormalVector({ONE: c})
+    assert FormalVector({ONE: 1}) == FormalVector({ONE: Fraction(1)})
+    assert str(FormalVector({ONE: Fraction(1, 3)})) == "1/3*d[1]"
 
 
 def test_apply_examples():
@@ -68,9 +79,9 @@ def test_separating_point_examples():
 
 
 def _separating_point_by_radius(fs, max_radius=8):
-    """Reference search: rebuild the ball for each radius and retest all."""
+    """Reference search: rebuild the oracle's ball for each radius and retest all."""
     for radius in range(max_radius + 1):
-        for g in generator_ball(radius):
+        for g in ball_by_words(radius):
             p = act(g, ONE)
             images = [act(f, p) for f in fs]
             if len(set(images)) == len(images):
@@ -79,19 +90,29 @@ def _separating_point_by_radius(fs, max_radius=8):
 
 
 def test_ball_walk_is_the_generator_ball():
-    sizes = []
+    # the cached layers' spheres, in order, are the generator ball
+    spheres = [representation._layer(r)[0] for r in range(5)]
     for r in range(5):
         ball = generator_ball(r)
-        assert [f.terms for f in ball] == [f.terms for _, f in _ball_walk(r)]
+        assert [f.terms for f in ball] == [f.terms for s in spheres[: r + 1] for f in s]
         assert len({f.terms for f in ball}) == len(ball)
-        sizes.append(len(ball))
-    assert sizes == [1, 5, 17, 53, 161]
-    # each element comes with its word length: the radius of the first ball holding it
+    assert [len(s) for s in spheres] == [1, 4, 12, 36, 108]
+    # each sphere holds the elements of its word length: the radius of the first ball holding them
     balls = [set(generator_ball(r)) for r in range(5)]
-    radii = [r for r, _ in _ball_walk(4)]
-    assert radii == sorted(radii)
-    for r, f in _ball_walk(4):
-        assert r == next(s for s in range(5) if f in balls[s])
+    for r, sphere in enumerate(spheres):
+        for f in sphere:
+            assert r == next(s for s in range(5) if f in balls[s])
+
+
+def test_layer_points_are_the_first_sightings_of_the_oracle_walk():
+    seen, want = set(), []
+    for g in ball_by_words(5):
+        p = act(g, ONE)
+        if p not in seen:
+            seen.add(p)
+            want.append(p)
+    got = [p for r in range(6) for p in representation._layer(r)[1]]
+    assert [_wrap(p) for p in got] == want
 
 
 def test_separating_point_matches_radius_search():
@@ -197,8 +218,8 @@ def count_acts(monkeypatch) -> list:
 
 def test_certificate_compiles_each_element_once(monkeypatch):
     built = count_calls(monkeypatch, "__init__", lambda g, terms: terms)
-    # a new candidate table, so that this search walks the ball itself
-    monkeypatch.setattr(representation, "_CANDIDATES", representation._Candidates())
+    # no cached layers, so that this search walks the ball itself
+    representation._layer.cache_clear()
     rng = random.Random(31)
     sample = rng.sample(generator_ball(4), 40)
     # fresh elements, so nothing was compiled before
@@ -209,7 +230,7 @@ def test_certificate_compiles_each_element_once(monkeypatch):
     assert family == sorted(id(f._quads) for f in fs)
     walked = [t for t in built if not any(t is f._quads for f in fs)]
     assert len(walked) > 1 and len(set(walked)) == len(walked)
-    # the walked table serves the next family: only its own elements compile
+    # the cached layers serve the next family: only its own elements compile
     built.clear()
     fs = [GroupElement(f.terms) for f in sample]
     assert independence_certificate(fs) == cert
@@ -263,14 +284,13 @@ def deep_h2(k: int, side: str) -> GroupElement:
     )
 
 
-def test_certificate_matches_the_ball_reference_search(monkeypatch):
-    # a new candidate table, which the searches below extend as they need
-    table = representation._Candidates()
-    monkeypatch.setattr(representation, "_CANDIDATES", table)
+def test_certificate_matches_the_ball_reference_search():
+    # no cached layers: the searches below walk as far as they need
+    representation._layer.cache_clear()
     rng = random.Random(40)
     ball = generator_ball(4)[1:]
     deep = [deep_h2(k, side) for k in range(3, 8) for side in "12"]
-    found, lengths = Counter(), []
+    found, layers = Counter(), []
     for n in range(200):
         radius = (3, 1, 8, 0)[n % 4]
         fs = rng.sample(ball, rng.choice((1, 2, 4, 8, 16, 32, 48)))
@@ -286,43 +306,44 @@ def test_certificate_matches_the_ball_reference_search(monkeypatch):
             assert (cert.point, cert.images) == want
             assert all(type(q) is DiagonalProjection for q in (cert.point, *cert.images))
         found[radius, want is not None] += 1
-        lengths.append(len(table.points))
+        layers.append(representation._layer.cache_info().currsize)
     # every radius both finds points and runs out, except 8 which always finds
     assert all(found[r, True] and found[r, False] for r in (0, 1, 3))
     assert found[8, True] == 50
-    # the table grows after its first extension, to beyond the radius-3 ball
-    assert lengths[0] < lengths[-1] and table.points[-1][0] > 3
+    # the layers grow after the first search, to beyond the radius-3 ball
+    assert layers[0] < layers[-1] and layers[-1] > 4
 
 
 def test_an_interrupted_extension_leaves_a_prefix_of_the_walk(monkeypatch):
-    clean = representation._Candidates()
-    assert clean.get(200) is not None
-    table = representation._Candidates()
-    monkeypatch.setattr(representation, "_CANDIDATES", table)
-    assert table.get(20) == clean.points[20]
+    layer = representation._layer
+    layer.cache_clear()
+    clean = [layer(r) for r in range(5)]
+    layer.cache_clear()
     acts = 0
 
     class Interrupted(_packed.PackedElement):
         def act(self, n, ends):
             nonlocal acts
             acts += 1
-            if acts == 50:
+            if acts == 50:  # in the radius-3 sphere: the ball of radius 2 has 17 elements
                 raise KeyboardInterrupt
             return super().act(n, ends)
 
     monkeypatch.setattr(representation, "PackedElement", Interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        table.get(200)
-    # the walk ended with the exception, so the table started over
-    assert table.points == []
-    assert table.get(200) == clean.points[200] and table.points == clean.points[:201]
     fs = [GroupElement.identity(), deep_h2(6, "1")]
+    with pytest.raises(KeyboardInterrupt):
+        independence_certificate(fs)
+    # the interrupted radius cached nothing; the radii below it are the walk's
+    assert layer.cache_info().currsize == 3
+    assert [layer(r) for r in range(3)] == clean[:3]
+    monkeypatch.undo()
     assert independence_certificate(fs).point == separation_by_ball(fs, 8)[0]
+    assert [layer(r) for r in range(5)] == clean
 
 
-def test_concurrent_searches_extend_one_table(monkeypatch):
-    table = representation._Candidates()
-    monkeypatch.setattr(representation, "_CANDIDATES", table)
+def test_concurrent_searches_extend_one_table():
+    layer = representation._layer
+    layer.cache_clear()
     rng = random.Random(41)
     ball = generator_ball(3)[1:]
     families = [
@@ -330,13 +351,14 @@ def test_concurrent_searches_extend_one_table(monkeypatch):
         for k in range(3, 7) for side in "12" for _ in range(2)
     ]
     switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # threads trade places inside extensions
+    sys.setswitchinterval(1e-6)  # threads trade places inside layer walks
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             points = list(pool.map(separating_point, families, timeout=120))
     finally:
         sys.setswitchinterval(switch)
     assert points == [separation_by_ball(fs, 8)[0] for fs in families]
-    # no sighting lost or repeated: the table is a prefix of a walk made alone
-    alone = representation._Candidates()
-    assert alone.get(len(table.points) - 1) and alone.points == table.points
+    # no sighting lost or repeated: the layers are those of a walk made alone
+    shared = [layer(r) for r in range(layer.cache_info().currsize)]
+    layer.cache_clear()
+    assert len(shared) > 4 and shared == [layer(r) for r in range(len(shared))]
