@@ -5,8 +5,9 @@ the right.  A diagonal projection is a finite union of such intervals,
 stored as (n, ends): the flat sorted endpoints a0, b0, a1, b1, ... of
 its merged intervals [a, b) in units of 2^-n.  n is minimal (not every
 endpoint is even), so the form is canonical and hashable.  Words are
-made only at the edges: `interval` and `pack` read, `word` and `unpack` write.
-`round_out` coarsens a projection to the cells of a scale it meets.
+made only at the edges: `interval` and `pack` read them, `unpack` splits
+the intervals into their words' (length, value) blocks and `word` writes
+one.  `round_out` coarsens a projection to the cells of a scale it meets.
 
 A term S_alpha S_beta* maps I(beta) affinely onto I(alpha), so an
 element acts by sending p on I(beta) to I(alpha) for even-degree terms
@@ -71,9 +72,9 @@ def pack(support: Iterable[str]) -> tuple[int, tuple[int, ...]]:
     return _canonical(n, ends)
 
 
-def unpack(n: int, ends: Sequence[int], make: Callable[[int, int], object] = word) -> tuple:
-    """make(length, value) of each maximal aligned block of the intervals,
-    left to right: by default its word, and then the canonical support."""
+def unpack(n: int, ends: Sequence[int]) -> list[tuple[int, int]]:
+    """(length, value) of each maximal aligned block of the intervals, left
+    to right: the intervals of the words of the canonical support."""
     out = []
     for i in range(0, len(ends), 2):
         a, b = ends[i], ends[i + 1]
@@ -81,9 +82,9 @@ def unpack(n: int, ends: Sequence[int], make: Callable[[int, int], object] = wor
             k = (b - a).bit_length() - 1
             if a:
                 k = min(k, (a & -a).bit_length() - 1)
-            out.append(make(n - k, a >> k))
+            out.append((n - k, a >> k))
             a += 1 << k
-    return tuple(out)
+    return out
 
 
 def complement(n: int, ends: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:

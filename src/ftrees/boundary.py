@@ -15,7 +15,6 @@ window to reach f's domain tree (see `window_requirement`).
 from __future__ import annotations
 
 import operator
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import _packed
@@ -62,7 +61,6 @@ class TreeTruncation(Frozen):
     meet `cells`, and they are listed only on demand.
     """
 
-    _fields = ("depth", "cells")
     depth: int
     cells: DiagonalProjection
 
@@ -109,9 +107,9 @@ class TreeTruncation(Frozen):
 
     def frontier(self) -> frozenset[str]:
         """The depth-k vertices."""
-        return frozenset(v for v in self.vertices if len(v) == self.depth)
+        return frozenset(_packed.word(self.depth, c) for c in _cells(self.cells, self.depth))
 
-    @cached_property
+    @property
     def vertices(self) -> frozenset[str]:
         return frozenset(self.sorted_vertices())
 
@@ -133,7 +131,6 @@ class PairTruncation(Frozen):
     """A depth-k window on a point of the compactification: its trees
     have one depth and together meet every vertex."""
 
-    _fields = ("left", "right")
     left: TreeTruncation
     right: TreeTruncation
 
@@ -180,8 +177,11 @@ def window_requirement(f: GroupElement) -> int:
     """Smallest window depth on which f acts exactly.
 
     The window must reach f's domain tree, so that each depth-k cell lies
-    in one domain interval, and one level beyond height(f).
+    in one domain interval, and one level beyond height(f).  Elements
+    outside F do not act on windows and raise `NotInF`.
     """
+    if not is_order_preserving(f):
+        raise NotInF("window depths are defined for order-preserving elements")
     h = height(f)
     if h == 0:
         return 0  # order preserving with all degrees zero: the identity

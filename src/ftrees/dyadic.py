@@ -18,7 +18,6 @@ from ._frozen import Frozen
 class Dyadic(Frozen):
     """numerator / 2**exponent, stored in lowest terms (exponent >= 0)."""
 
-    __slots__ = _fields = ("numerator", "exponent")
     numerator: int
     exponent: int
 
@@ -35,12 +34,7 @@ class Dyadic(Frozen):
             exponent -= shift
         else:
             exponent = 0
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "exponent", exponent)
-
-    def __reduce__(self):
-        """Rebuild from the fields: the default would set the slots, which refuse."""
-        return Dyadic, (self.numerator, self.exponent)
+        self.__dict__.update(numerator=numerator, exponent=exponent)
 
     @classmethod
     def _coerce(cls, value: Union["Dyadic", int]) -> "Dyadic":

@@ -87,20 +87,10 @@ class GroupElement(Frozen):
     as :func:`validate_unitary` does, raising `NotUnitary` if not unitary.
     """
 
-    _fields = ("_quads",)
     _quads: tuple[Quad, ...]
 
     def __init__(self, terms: Iterable[tuple[str, str]]) -> None:
         self.__dict__.update(validate_unitary(list(terms)).__dict__)
-
-    # compared and hashed directly, not field by field: both are hot in `_next_sphere`'s dedupe
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._quads == other._quads
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._quads,))
 
     def __reduce__(self):
         """The terms and recorded F membership; never the kept words or `_interval_map`."""

@@ -41,7 +41,6 @@ class NormalFormWord(Frozen):
     """Exponent word x_{j1}..x_{jk} x_{il}^-1..x_{i1}^-1, both lists stored
     in non-decreasing order."""
 
-    _fields = ("positive", "negative")
     positive: tuple[int, ...]
     negative: tuple[int, ...]
 

@@ -83,7 +83,7 @@ class DiagonalProjection(tuple):
 
     @property
     def support(self) -> tuple[str, ...]:
-        return _packed.unpack(*self)
+        return tuple([_packed.word(m, v) for m, v in _packed.unpack(*self)])
 
     def is_zero(self) -> bool:
         return not self[1]
@@ -105,7 +105,7 @@ def _text(n: int, ends: tuple[int, ...], table: Optional[dict] = None) -> str:
     if not n:  # 0 is (0, ()) and 1 is (0, (0, 1))
         return "1" if ends else "0"
     if table is None:
-        return "+".join([f"P[{w}]" for w in _packed.unpack(n, ends)])
+        return "+".join([f"P[{_packed.word(m, v)}]" for m, v in _packed.unpack(n, ends)])
     pairs = iter(ends)
     return "+".join([table.get((n, a, b)) or table.setdefault((n, a, b), _text(n, (a, b)))
                      for a, b in zip(pairs, pairs)])
@@ -264,7 +264,7 @@ def realize(p: DiagonalProjection) -> GroupElement:
     n, cuts = p.n, (0, *p.ends, 1 << p.n)
     items: list[tuple[int, int, int]] = []  # (length, value, degree parity)
     for i in range(len(cuts) - 1):  # the gaps of p, the even segments, need odd degree
-        items += _packed.unpack(n, cuts[i : i + 2], lambda m, v, odd=~i & 1: (m, v, odd))
+        items += [(m, v, ~i & 1) for m, v in _packed.unpack(n, cuts[i : i + 2])]
     f = _element(_reduce_terms(_solve_parities(items)))
     tiled = not any(_tiles([t[k : k + 2] for t in f._quads]) for k in (0, 2))
     if not (is_order_preserving(f) and tiled and act(f, ONE) == p):
@@ -284,7 +284,6 @@ class OrbitRun(Frozen):
     counts the (point, generator) pairs resolved, four per expanded point; the
     step back to a point's parent is answered by the group law, not computed."""
 
-    _fields = ("depths", "action_evaluations", "seconds", "levels")
     depths: dict[DiagonalProjection, int]
     action_evaluations: int
     seconds: float

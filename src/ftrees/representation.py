@@ -30,7 +30,6 @@ class SearchExhausted(RuntimeError):
 class FormalVector(Frozen):
     """Finitely supported rational combination of basis projections."""
 
-    _fields = ("coefficients",)
     coefficients: tuple[tuple[DiagonalProjection, Fraction], ...]
 
     def __init__(
@@ -108,7 +107,6 @@ class IndependenceCertificate(Frozen):
     images of one projection witness independence of the pi_2(f_i).
     """
 
-    _fields = ("elements", "point", "images")
     elements: tuple[GroupElement, ...]
     point: DiagonalProjection
     images: tuple[DiagonalProjection, ...]

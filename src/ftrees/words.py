@@ -103,7 +103,6 @@ class CompleteCode(Frozen):
     """A complete prefix code: lex-sorted words whose intervals tile [0, 1]
     (an antichain with Kraft sum 1), checked once by `_tiling`."""
 
-    _fields = ("words",)
     words: tuple[str, ...]
 
     def __init__(self, words: Iterable[str]) -> None:

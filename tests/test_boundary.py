@@ -125,6 +125,14 @@ def test_act_truncated_fixed_point_and_errors():
         act_truncated(GroupElement([("22", "1"), ("1", "21"), ("21", "22")]), pair)
 
 
+def test_window_requirement_refuses_elements_outside_f():
+    # a swap in V, of height 0, and a rotation in T: neither acts on windows
+    refused = "^window depths are defined for order-preserving elements$"
+    for terms in ([("1", "2"), ("2", "1")], [("22", "1"), ("1", "21"), ("21", "22")]):
+        with pytest.raises(NotInF, match=refused):
+            window_requirement(GroupElement(terms))
+
+
 def test_stabilizes():
     p = DiagonalProjection(["12"])
     assert stabilizes([p] * 5, 4)

@@ -658,7 +658,7 @@ def test_pack_unpack_round_trip():
         n, ends = _packed.pack(p.support)
         assert n == 0 or any(e % 2 for e in ends)
         assert all(a < b for a, b in zip(ends, ends[1:]))
-        assert _packed.unpack(n, ends) == p.support
+        assert tuple(_packed.word(m, v) for m, v in _packed.unpack(n, ends)) == p.support
 
 
 def test_realize_mixed_level_supports():
@@ -704,6 +704,29 @@ def test_realize_matches_the_word_parity_tree():
         checked += 1
         splits += len(terms) > atoms
     assert splits >= 1000
+
+
+def test_realize_refuses_a_witness_that_fails_its_certificate(monkeypatch):
+    solve = omega._solve_parities
+
+    def identity(items):  # in F and tiles, but maps 1 to 1, not to p
+        return [(0, 0, 0, 0)]
+
+    def swapped(items):  # the true terms, first two betas exchanged: a bijection of codes, not in F
+        q = solve(items)
+        return [(*q[0][:2], *q[1][2:]), (*q[1][:2], *q[0][2:]), *q[2:]]
+
+    for fake in (identity, swapped):
+        monkeypatch.setattr(omega, "_solve_parities", fake)
+        failed = r"^parity-tree witness failed for P\[11\]$"
+        with pytest.raises(omega.InternalSearchExhausted, match=failed):
+            realize(DiagonalProjection(["11"]))
+
+
+def test_an_unsolvable_parity_sequence_is_an_internal_error():
+    # one item of odd length and even degree weighs 2, not 1 (mod 3)
+    with pytest.raises(AssertionError, match=r"^unsolvable parity sequence \(weight 2\)$"):
+        omega._solve_parities([(1, 0, 0)])
 
 
 def test_realize_mixed_depth_support_is_fast():

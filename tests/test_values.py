@@ -4,15 +4,19 @@ pickles that come back equal."""
 
 import copy
 import dataclasses
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import ftrees
 from ftrees import (
     ONE, CompleteCode, DiagonalProjection, Dyadic, FormalVector, GroupElement,
     IndependenceCertificate, NormalFormWord, PairTruncation, TreeTruncation, embed,
 )
+from ftrees._frozen import Frozen
 from ftrees.generators import generator_ball
 from ftrees.omega import OrbitRun, act
 
@@ -162,3 +166,32 @@ def test_an_element_that_has_acted_copies_and_pickles_without_its_interval_map()
         assert type(c) is GroupElement and c == g and str(c) == str(g)
         assert set(vars(c)) == {"_quads", "_in_f"}
         assert act(c, ONE) == image
+
+
+def test_every_value_class_has_a_case():
+    # a class added later cannot skip the checks above, and a stray class
+    # annotation, which is a field, shows in its class's field list
+    for module in pkgutil.iter_modules(ftrees.__path__):
+        importlib.import_module(f"ftrees.{module.name}")
+    classes, stack = set(), [Frozen]
+    while stack:
+        subclasses = stack.pop().__subclasses__()
+        classes.update(subclasses)
+        stack += subclasses
+    assert {type(case[0]) for case in CASES} == classes
+    for v, same, other, fields, text in CASES:
+        assert type(v)._fields == fields
+
+
+def test_a_window_that_has_listed_its_vertices_copies_and_pickles_without_them():
+    # the vertices are listed on each read: a window holds only its depth
+    # and cells, as a projection holds only (n, ends)
+    t = embed(P12, 3).right
+    assert t.frontier() < t.vertices
+    assert set(vars(t)) == {"depth", "cells"}
+    copies = [copy.copy(t), copy.deepcopy(t)]
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    copies += [pickle.loads(pickle.dumps(t, protocol)) for protocol in protocols]
+    for c in copies:
+        assert type(c) is TreeTruncation and c == t
+        assert set(vars(c)) == {"depth", "cells"}
