@@ -21,7 +21,6 @@ from .elements import (
     GroupElement, _from_words, inverse, is_cyclic_order_preserving, is_order_preserving, multiply,
 )
 from .generators import _generators, element_of_word, parse_generator_word, to_normal_form
-from .omega import DiagonalProjection
 from .words import word_to_str
 
 MAX_GENERATOR_INDEX = 64
@@ -53,7 +52,7 @@ def _check_depth(depth: int) -> None:
         raise ValueError(f"depth {depth} exceeds FTREES_MAX_DEPTH={cap}")
 
 
-def _capped(p: DiagonalProjection) -> DiagonalProjection:
+def _capped(p: omega.DiagonalProjection) -> omega.DiagonalProjection:
     """p, unless len(p.ends) * p.n^2 is above MAX_PROJECTION_SIZE."""
     if len(p.ends) * p.n ** 2 > MAX_PROJECTION_SIZE:
         raise ValueError(f"{len(p.ends)} ends * level {p.n}^2 exceed cap {MAX_PROJECTION_SIZE}")
@@ -126,10 +125,10 @@ def format_element(f: GroupElement, as_json: bool = False) -> str:
     return str(f)
 
 
-def parse_projection(text: str, as_json: bool = False) -> DiagonalProjection:
+def parse_projection(text: str, as_json: bool = False) -> omega.DiagonalProjection:
     if as_json:
         data = _json_object(text, "support")
-        return DiagonalProjection(_json_words(data["support"], "support"))
+        return omega.DiagonalProjection(_json_words(data["support"], "support"))
     text = text.strip()
     if text == "0":
         return omega.ZERO
@@ -141,10 +140,10 @@ def parse_projection(text: str, as_json: bool = False) -> DiagonalProjection:
         if not (chunk.startswith("P[") and chunk.endswith("]")):
             raise ValueError(f"projection term {chunk!r} is not of the form P[word]")
         words.append(_word(chunk[2:-1]))
-    return DiagonalProjection(words)
+    return omega.DiagonalProjection(words)
 
 
-def format_projection(p: DiagonalProjection, as_json: bool = False) -> str:
+def format_projection(p: omega.DiagonalProjection, as_json: bool = False) -> str:
     if as_json:
         return json.dumps(
             {"support": [word_to_str(w) for w in p.support]}, sort_keys=True
@@ -443,7 +442,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:  # stdout failed, as on a full disk
         _drop_stdout()
         msg = f"cannot write the output: {exc}"
-    except (ValueError, representation.SearchExhausted) as exc:
+    except ValueError as exc:
+        msg = str(exc)
+    except representation.SearchExhausted as exc:  # apart: a ValueError runs no search code
         msg = str(exc)
     if len(msg) > MAX_ERROR_CHARS:  # a message can echo a long input
         msg = f"{msg[:MAX_ERROR_CHARS]} ... (cut from {len(msg)} characters)"
