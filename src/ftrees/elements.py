@@ -93,7 +93,7 @@ class GroupElement(Frozen):
         self.__dict__.update(validate_unitary(list(terms)).__dict__)
 
     def __reduce__(self):
-        """The terms and recorded F membership; never the kept words or `_interval_map`."""
+        """The intervals and recorded F membership; never the cached `terms` or `_interval_map`."""
         return _element, (self._quads, self.__dict__.get("_in_f"))
 
     @cached_property
@@ -136,8 +136,8 @@ class GroupElement(Frozen):
         return inverse(self)
 
     def __str__(self) -> str:
-        pairs = self.__dict__.get("terms") or ((word(*q[:2]), word(*q[2:])) for q in self._quads)
-        return " + ".join([f"{a or 'e'}:{b or 'e'}" for a, b in pairs])
+        terms = [f"{word(la, va) or 'e'}:{word(lb, vb) or 'e'}" for la, va, lb, vb in self._quads]
+        return " + ".join(terms)
 
     def __repr__(self) -> str:
         return f"GroupElement({self})"
@@ -178,12 +178,7 @@ def _from_words(alphas: list[str], betas: list[str], table: dict) -> GroupElemen
             _tiling(betas, table)  # the domain code in its own order, or its fault
     except ValueError as exc:
         raise NotUnitary(f"{side} side: {exc}") from exc
-    quads = _reduce_terms([ints[i] + beta_ints[i] for i in order])
-    f = _element(quads, in_f)
-    # kept words spare `__str__` remaking them: without this, certify `separate` ran 7 % slower
-    if len(quads) == len(alphas):  # nothing merged: the input words are the terms
-        f.__dict__["terms"] = tuple([Term(alphas[i], betas[i]) for i in order])
-    return f
+    return _element(_reduce_terms([ints[i] + beta_ints[i] for i in order]), in_f)
 
 
 reduce = validate_unitary  # the canonical element of a possibly unreduced term list

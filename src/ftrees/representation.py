@@ -3,7 +3,10 @@
 pi_2(f) relabels basis vectors delta_p by the coset action.  Any finite
 family of distinct group elements moves some basis vector to pairwise
 distinct images (a separating point), which yields machine-checkable
-linear-independence certificates.
+linear-independence certificates.  `independence_certificate` looks only
+among the points g . 1 for g in the generator ball of radius `max_radius`
+(8 by default) and raises `SearchExhausted` if none separates, as for e
+and an H_2 element that moves only points inside I(2^12).
 """
 
 from __future__ import annotations

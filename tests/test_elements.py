@@ -345,6 +345,34 @@ def test_the_text_parser_agrees_with_validate_unitary_byte_for_byte():
             assert str(info.value) == want
 
 
+def test_an_element_read_from_words_keeps_only_its_intervals():
+    # one representation however an element is built: the words of `terms` are made
+    # from the intervals on first read, also when the input words were already reduced
+    rng = random.Random(88)
+    merged = Counter()
+    for n in range(120):
+        alphas, betas = random_pairing(rng, rng.randint(1, 12))
+        terms = [Term(a, b) for a, b in zip(alphas, betas)]
+        rng.shuffle(terms)
+        want = merge_siblings(terms)
+        merged[len(want) < len(terms)] += 1
+        as_json = json.dumps({"terms": [[a or "e", b or "e"] for a, b in terms]})
+        built = [
+            cli.parse_element(element_text(terms)),
+            cli.parse_element(as_json, True),
+            GroupElement(terms),
+            validate_unitary(terms),
+        ]
+        for f in built:
+            assert "terms" not in vars(f), n
+            text = str(f)
+            assert "terms" not in vars(f) and text == str(built[0]), n
+            assert f.terms == want and "terms" in vars(f), n
+            assert str(f) == text == element_text(want), n
+    # inputs already reduced, whose words were once kept, and inputs that merge
+    assert merged[False] >= 30 and merged[True] >= 30, merged
+
+
 def run_separate(texts: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -21,7 +21,7 @@ from ftrees.representation import (
     separating_point,
 )
 
-from oracles import ball_by_words, separation_by_ball
+from oracles import act_by_transport, ball_by_words, separation_by_ball
 
 
 def test_vector_validation_and_normalization():
@@ -78,17 +78,6 @@ def test_separating_point_examples():
         separating_point([x0, GroupElement([("22", "1"), ("1", "21"), ("21", "22")])])
 
 
-def _separating_point_by_radius(fs, max_radius=8):
-    """Reference search: rebuild the oracle's ball for each radius and retest all."""
-    for radius in range(max_radius + 1):
-        for g in ball_by_words(radius):
-            p = act(g, ONE)
-            images = [act(f, p) for f in fs]
-            if len(set(images)) == len(images):
-                return p
-    return None
-
-
 def test_ball_walk_is_the_generator_ball():
     # the cached layers' spheres, in order, are the generator ball
     spheres = [representation._layer(r)[0] for r in range(5)]
@@ -122,7 +111,7 @@ def test_separating_point_matches_radius_search():
     radii = set()
     for fs in families:
         p = separating_point(fs)
-        assert p == _separating_point_by_radius(fs)
+        assert p == separation_by_ball(fs, 8)[0]
         radii.add(next(r for r in range(9) if p in {act(g, ONE) for g in generator_ball(r)}))
     # points come from several radii, so earlier candidates get skipped
     assert len(radii) >= 4
@@ -141,8 +130,7 @@ def test_search_exhausted_reported():
 
 
 def test_a_repeated_element_is_rejected_before_any_action(monkeypatch):
-    calls = []
-    monkeypatch.setattr(representation, "act", lambda f, p: calls.append(f) or act(f, p))
+    calls = count_calls(monkeypatch, "act", lambda g, n, ends: g)  # the search acts through maps
     for search in (separating_point, independence_certificate):
         with pytest.raises(ValueError, match="^certificate requires pairwise distinct elements$"):
             search([gen_x(0), gen_x(1), gen_x(0)], max_radius=8)
@@ -150,8 +138,7 @@ def test_a_repeated_element_is_rejected_before_any_action(monkeypatch):
 
 
 def test_a_negative_radius_is_rejected_before_any_action(monkeypatch):
-    calls = []
-    monkeypatch.setattr(representation, "act", lambda f, p: calls.append(f) or act(f, p))
+    calls = count_calls(monkeypatch, "act", lambda g, n, ends: g)  # the search acts through maps
     for search in (separating_point, independence_certificate):
         for radius in (-1, -2):
             with pytest.raises(ValueError, match="^radius must be >= 0$"):
@@ -180,6 +167,27 @@ def test_certificate_random_ball3():
     sample = rng.sample(generator_ball(3), 20)
     cert = independence_certificate(sample)
     assert cert.verify()
+
+
+def test_a_certificate_point_shows_each_combination_is_nonzero():
+    # faithfulness on C[F]: sum c_i pi_2(f_i) sends delta_p to sum c_i delta_{f_i . p}, and
+    # at the certificate's point those deltas are distinct, so no nonzero c_i cancels
+    rng = random.Random(19)
+    ball = generator_ball(3)
+    points = set()
+    for _ in range(16):
+        fs = rng.sample(ball, rng.randint(1, 32))
+        cs = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in fs]
+        p = independence_certificate(fs).point
+        total: dict = {}
+        for f, c in zip(fs, cs):
+            for q, d in apply(f, FormalVector.basis(p)).coefficients:
+                total[q] = total.get(q, 0) + c * d
+        v = FormalVector(total)
+        assert v == FormalVector({act_by_transport(f, p): c for f, c in zip(fs, cs)})
+        assert sorted(c for _, c in v.coefficients) == sorted(cs) and v != FormalVector({})
+        points.add(p)
+    assert len(points) > 1
 
 
 def test_certificate_rejects_duplicates():
@@ -259,7 +267,7 @@ def test_a_candidate_stops_at_its_first_repeated_image(monkeypatch):
     cert = independence_certificate(fs)
     family = {id(f._interval_map) for f in fs}
     assert sum(p == ONE and id(g) in family for g, p in calls) == 2
-    assert cert.point == _separating_point_by_radius(fs)
+    assert cert.point == separation_by_ball(fs, 8)[0]
     assert cert.verify()
 
 
@@ -269,7 +277,7 @@ def test_separating_point_matches_radius_search_on_seeded_families():
     for _ in range(12):
         fs = rng.sample(ball, rng.randint(20, 48))
         p = separating_point(fs)
-        assert p == _separating_point_by_radius(fs)
+        assert p == separation_by_ball(fs, 8)[0]
         assert len({act(f, p) for f in fs}) == len(fs)
 
 
