@@ -564,6 +564,21 @@ def test_canonical_shifts_only_without_an_odd_endpoint():
     assert _packed._canonical(7, []) == (0, ())
 
 
+def test_words_and_intervals_agree_with_the_oracle_on_both_sides_of_the_tables():
+    # every word of at most 10 letters, across the 8/9 boundary between the
+    # words that are looked up and those formatted and parsed, then seeded
+    # words of 9-200 letters with both end values of each length among them
+    rng = random.Random(30)
+    cases = [(n, v) for n in range(11) for v in range(1 << n)]
+    for n in (rng.randint(9, 200) for _ in range(300)):
+        cases += [(n, 0), (n, rng.randrange(1 << n)), (n, (1 << n) - 1)]
+    for n, v in cases:
+        w = _packed.word(n, v)
+        assert len(w) == n and set(w) <= {"1", "2"}, (n, v, w)
+        assert interval_of_word(w) == (Fraction(v, 1 << n), Fraction(v + 1, 1 << n)), (n, v, w)
+        assert _packed.interval(w) == (n, v), (n, v, w)
+
+
 def test_wrapped_projection_is_the_constructed_one():
     rng = random.Random(17)
     for _ in range(200):
