@@ -29,7 +29,7 @@ MAX_GENERATOR_INDEX = 64
 MAX_UNNF_LETTERS = 1000
 # `realize` and `act` print the atoms of p and 1 - p, about len(ends) * n^2 letters
 # at level n.  At the cap, P[1^1448] takes 0.14 s and 21 MB and prints 1.4 MB; 1,024 two-cell
-# intervals at level 45 take 0.53 s and 41 MB and print 2.3 MB (Python 3.11.7, 2 vCPUs)
+# intervals at level 45 take 0.53 s and 35 MB and print 2.3 MB (Python 3.11.7, 2 vCPUs)
 MAX_PROJECTION_SIZE = 1 << 22
 # `orbit` prints up to about 3^depth points of len(ends) * n^2 letters from a level-n start.
 # The cap admits every start two steps from 1 at depth 12; at the cap, P[1122]+P[1211]+P[2122]+

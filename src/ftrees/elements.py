@@ -120,9 +120,8 @@ class GroupElement(Frozen):
     # kept, not rescanned per call: a scan per `multiply` made word-problem `mul` 25 % slower
     @cached_property
     def _in_f(self) -> bool:
-        """`is_order_preserving`, by scan; a beta starts at vb / 2^lb."""
-        q = self._quads
-        return all(a[3] << b[2] < b[3] << a[2] for a, b in zip(q, q[1:]))
+        """`is_order_preserving`: the betas tile [0, 1] in alpha order."""
+        return not _tiles([q[2:] for q in self._quads])
 
     @cached_property
     def _interval_map(self) -> Optional[PackedElement]:
@@ -247,13 +246,12 @@ def inverse(u: GroupElement) -> GroupElement:
 
 def is_order_preserving(u: GroupElement) -> bool:
     """Membership in F: the bipartite diagram has no crossings, so in the
-    canonical alpha order of the terms the betas are sorted too.
-
-    The answer is kept on the element, and the constructors that learn it
-    record it at no cost: parsing (the betas tile in alpha order or not),
+    canonical alpha order of the terms the betas tile [0, 1] too, which
+    `words._tiles` checks, the one proof.  The answer is kept on the
+    element, and the constructors that learn it record it at no cost:
+    parsing and `omega.realize` (both tile the betas in alpha order),
     `identity`, `from_normal_form`, products uw with u in F (uw is in F
-    iff w is) and inverses.  `omega.realize` records nothing, since its
-    certificate is this very scan.
+    iff w is) and inverses.
     """
     return u._in_f
 

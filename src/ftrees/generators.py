@@ -210,11 +210,12 @@ def _generators() -> tuple[tuple[str, GroupElement], ...]:
 def _next_sphere(inner: Sequence, sphere: Sequence) -> list[GroupElement]:
     """The elements of word length r + 1 over x0^+-1, x1^+-1 from those of
     lengths r - 1 (`inner`) and r (`sphere`), in breadth-first discovery
-    order: each element of `sphere` times each generator, in turn.  A
-    neighbour of an element of length r has length r - 1, r or r + 1, so
-    these two spheres and the new one are all the dedupe needs."""
+    order: each element of `sphere` times each generator, in turn.  Every
+    generator flips the exponent sum mod 2, a homomorphism F -> Z/2, so a
+    neighbour of an element of length r has length r - 1 or r + 1: `inner`
+    and the new sphere are all the dedupe needs."""
     gens = [g for _, g in _generators()]
-    seen, out = {*inner, *sphere}, []
+    seen, out = set(inner), []
     for f in sphere:
         for g in gens:
             h = multiply(f, g)

@@ -257,7 +257,8 @@ def realize(p: DiagonalProjection) -> GroupElement:
     succeeds on all of Omega_2 in one pass.  The atoms are read off the
     intervals of p and of their gaps, no word is made, and the cost grows
     with the atom count of p and 1 - p rather than with 2^level.  The
-    certificate: f is in F, both its sides tile [0, 1], and f . 1 = p.
+    certificate: both sides tile [0, 1] in alpha order, so f is a unitary
+    in F (recorded on it), and f . 1 = p, by a map that f does not keep.
     """
     if omega2_member(p) is None:
         raise NotInOmega2(f"tau = {trace(p)} is not k/2^(2m+1) with k = 2 mod 3")
@@ -265,11 +266,11 @@ def realize(p: DiagonalProjection) -> GroupElement:
     items: list[tuple[int, int, int]] = []  # (length, value, degree parity)
     for i in range(len(cuts) - 1):  # the gaps of p, the even segments, need odd degree
         items += [(m, v, ~i & 1) for m, v in _packed.unpack(n, cuts[i : i + 2])]
-    f = _element(_reduce_terms(_solve_parities(items)))
-    tiled = not any(_tiles([t[k : k + 2] for t in f._quads]) for k in (0, 2))
-    if not (is_order_preserving(f) and tiled and act(f, ONE) == p):
+    quads = _reduce_terms(_solve_parities(items))
+    tiled = not any(_tiles([q[k : k + 2] for q in quads]) for k in (0, 2))
+    if not (tiled and _packed.PackedElement(quads).act(0, (0, 1)) == p):
         raise InternalSearchExhausted(f"parity-tree witness failed for {p}")
-    return f
+    return _element(quads, True)
 
 
 # ---------------------------------------------------------------------------

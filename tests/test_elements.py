@@ -518,9 +518,14 @@ def test_recorded_f_membership_matches_the_position_map_for_every_constructor():
                 if recorded_in_f(u):
                     assert recorded_in_f(uw) == (kind_by_position(uw) == "F"), (u, w)
                 assert is_order_preserving(uw) == (kind_by_position(uw) == "F"), (u, w)
+                # with its record deleted, w's membership is computed on first query, and a
+                # product with it as the right factor records none
+                lazy = _element(w._quads)
+                assert "_in_f" not in vars(multiply(X0, lazy)) and "_in_f" not in vars(lazy)
+                assert is_order_preserving(lazy) == (kind_by_position(w) == "F"), w
 
 
-def test_realize_records_no_f_membership_and_its_certificate_scans(monkeypatch):
+def test_realize_records_f_membership_and_keeps_no_interval_map(monkeypatch):
     built = []
 
     def spy(quads, in_f=None):
@@ -531,12 +536,11 @@ def test_realize_records_no_f_membership_and_its_certificate_scans(monkeypatch):
     monkeypatch.setattr(omega, "_element", spy)
     for f in generator_ball(3):
         g = realize(act(f, ONE))
-        # the witness is built with no record; the certificate's scan is kept
-        assert built.pop() is None and not built
+        # the witness is built once, recorded in F by its certificate's tilings
+        assert built.pop() is True and not built
         assert recorded_in_f(g) and kind_by_position(g) == "F"
-        # a product with an element of unknown membership records none, nor scans it
-        del vars(g)["_in_f"]
-        assert "_in_f" not in vars(multiply(X0, g)) and "_in_f" not in vars(g)
+        # the certificate's f . 1 compiles a map that the witness does not keep
+        assert "_interval_map" not in vars(g)
 
 
 def test_reduction_undoes_every_split_as_the_oracle_does():
