@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import count
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ._frozen import Frozen
 from .elements import GroupElement, NotInF, _element, inverse, is_order_preserving, multiply
@@ -207,32 +207,26 @@ def _generators() -> tuple[tuple[str, GroupElement], ...]:
     return (("x0", x0), ("x0^-1", inverse(x0)), ("x1", x1), ("x1^-1", inverse(x1)))
 
 
-def _next_sphere(inner: Sequence, sphere: Sequence) -> list[GroupElement]:
-    """The elements of word length r + 1 over x0^+-1, x1^+-1 from those of
-    lengths r - 1 (`inner`) and r (`sphere`), in breadth-first discovery
-    order: each element of `sphere` times each generator, in turn.  Every
-    generator flips the exponent sum mod 2, a homomorphism F -> Z/2, so a
-    neighbour of an element of length r has length r - 1 or r + 1: `inner`
-    and the new sphere are all the dedupe needs."""
-    gens = [g for _, g in _generators()]
-    seen, out = set(inner), []
-    for f in sphere:
-        for g in gens:
-            h = multiply(f, g)
-            if h not in seen:
-                seen.add(h)
-                out.append(h)
-    return out
-
-
 def generator_ball(radius: int) -> list[GroupElement]:
     """Distinct elements of word length <= radius over x0^+-1, x1^+-1,
-    in breadth-first discovery order (deterministic), sphere by sphere."""
+    in breadth-first discovery order (deterministic), sphere by sphere:
+    each element of the last sphere times each generator, in turn.  Every
+    generator flips the exponent sum mod 2, a homomorphism F -> Z/2, so a
+    neighbour of an element of length r has length r - 1 or r + 1: the
+    sphere before last and the new sphere are all the dedupe needs."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    gens = [g for _, g in _generators()]
     inner, sphere = [], [GroupElement.identity()]
     ball = list(sphere)
     for _ in range(radius):
-        inner, sphere = sphere, _next_sphere(inner, sphere)
+        seen, out = set(inner), []
+        for f in sphere:
+            for g in gens:
+                h = multiply(f, g)
+                if h not in seen:
+                    seen.add(h)
+                    out.append(h)
+        inner, sphere = sphere, out
         ball += sphere
     return ball

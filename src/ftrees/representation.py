@@ -4,9 +4,12 @@ pi_2(f) relabels basis vectors delta_p by the coset action.  Any finite
 family of distinct group elements moves some basis vector to pairwise
 distinct images (a separating point), which yields machine-checkable
 linear-independence certificates.  `independence_certificate` looks only
-among the points g . 1 for g in the generator ball of radius `max_radius`
-(8 by default) and raises `SearchExhausted` if none separates, as for e
-and an H_2 element that moves only points inside I(2^12).
+among the points of F/H_2 within `max_radius` generator steps of 1 (8 by
+default), the points g . 1 for g in the generator ball of that radius,
+which the orbit walk `omega.orbit_levels` meets level by level; it
+returns the first success in (radius, orbit discovery) order and raises
+`SearchExhausted` if none separates, as for e and an H_2 element that
+moves only points inside I(2^12).
 """
 
 from __future__ import annotations
@@ -16,10 +19,8 @@ from functools import cache
 from typing import Mapping, Sequence
 
 from ._frozen import Frozen
-from ._packed import PackedElement
 from .elements import GroupElement, NotInF, is_order_preserving
-from .generators import _next_sphere
-from .omega import DiagonalProjection, _wrap, act, omega2_member
+from .omega import ONE, DiagonalProjection, _wrap, act, omega2_member, orbit_levels
 
 
 class SearchExhausted(RuntimeError):
@@ -73,28 +74,14 @@ def apply(f: GroupElement, v: FormalVector) -> FormalVector:
 
 
 @cache
-def _layer(radius: int) -> tuple[tuple[GroupElement, ...], tuple[tuple, ...]]:
-    """(sphere, points) at one radius of the breadth-first walk of the generator
-    ball: the elements g of word length `radius`, in discovery order, and the
-    points g . 1, as (n, ends), that no smaller radius met, in the same order.
+def _layer(radius: int) -> tuple[DiagonalProjection, ...]:
+    """The points at distance `radius` from 1: level `radius` of the orbit walk
+    `orbit_levels(ONE, radius)`, in its discovery order.
 
     The layers are group constants, cached once per process.  Each is immutable,
     so threads that race compute equal layers and need no lock, and an exception
-    caches nothing for its radius.  Through radius 8 the layers hold the ball's
-    11,237 elements and 5,716 points: 10.9 MB (tracemalloc, Python 3.11)."""
-    if radius == 0:
-        sphere, met = (GroupElement.identity(),), set()
-    else:
-        inner = _layer(radius - 2)[0] if radius > 1 else ()
-        sphere = tuple(_next_sphere(inner, _layer(radius - 1)[0]))
-        met = {p for r in range(radius) for p in _layer(r)[1]}
-    points = []
-    for g in sphere:
-        p = PackedElement(g._quads).act(0, (0, 1))  # g keeps no map
-        if p not in met:
-            met.add(p)
-            points.append(p)
-    return sphere, tuple(points)
+    caches nothing for its radius.  Through radius 8 the layers hold 5,716 points."""
+    return tuple(p for p, d in orbit_levels(ONE, radius).depths.items() if d == radius)
 
 
 def separating_point(fs: Sequence[GroupElement], max_radius: int = 8) -> DiagonalProjection:
@@ -135,14 +122,14 @@ def independence_certificate(
     """Certificate that pi_2 of the given distinct elements is independent: the one
     search for a separating point.
 
-    Candidates are p = g . 1 for g along one breadth-first walk of the generator ball of
-    radius max_radius, each point tested once and only until its first repeated image;
-    the first success in (radius, discovery) order is returned, so the result is
-    deterministic.  The two elements of each collision move to the front of the scan, so
-    the pairs that collided last go first, and images stay raw until the winner's are
-    wrapped.  The walk's points come layer by layer, one cached layer per radius
-    (`_layer`), so a later search reads what an earlier one walked.  A family with a
-    repeated element raises ValueError before any action.
+    Candidates are the points of F/H_2 within max_radius steps of 1, each tested once
+    and only until its first repeated image; the first success in (radius, orbit
+    discovery) order is returned, so the result is deterministic.  The two elements of
+    each collision move to the front of the scan, so the pairs that collided last go
+    first, and images stay raw until the winner's are wrapped.  The points come level by
+    level from the orbit walk, one cached layer per radius (`_layer`), so a later search
+    reads what an earlier one walked.  A family with a repeated element raises ValueError
+    before any action.
     """
     if len(set(fs)) < len(fs):  # no point separates an element from itself
         raise ValueError("certificate requires pairwise distinct elements")
@@ -153,7 +140,7 @@ def independence_certificate(
         raise ValueError("radius must be >= 0")
     order = list(range(len(maps)))
     for radius in range(max_radius + 1):
-        for p in _layer(radius)[1]:
+        for p in _layer(radius):
             first: dict = {}  # image -> element, in the order of the scan
             for b in order:
                 a = first.setdefault(maps[b].act(*p), b)
@@ -164,5 +151,5 @@ def independence_certificate(
                     break
             else:  # verify() recomputes the images
                 images = tuple(map(_wrap, sorted(first, key=first.__getitem__)))
-                return IndependenceCertificate(tuple(fs), _wrap(p), images)
+                return IndependenceCertificate(tuple(fs), p, images)
     raise SearchExhausted(max_radius)

@@ -15,8 +15,9 @@ windows are dense vertex sets moved by string transport,
 realizability is decided by exhausting fill counts, the parity tree of
 a realize witness is grown on sorted support words, the generator ball
 is walked breadth first over words and deduplicated by their
-letter-by-letter products, and a separating point is searched by acting
-on every element of that ball.
+letter-by-letter products, the orbit of 1 is walked breadth first by
+string transport under the closed-form generators, and a separating
+point is searched along that walk.
 """
 
 from __future__ import annotations
@@ -701,20 +702,39 @@ def ball_by_words(radius: int) -> tuple[GroupElement, ...]:
     return inner + tuple(sphere)
 
 
-def separation_by_ball(
+@cache
+def orbit_by_transport(radius: int) -> tuple[tuple[DiagonalProjection, ...], ...]:
+    """The points of F/H_2 within radius steps of 1, level by level, breadth
+    first: the levels of radius - 1, then each point of its last level moved
+    by x0, x0^-1, x1 and x1^-1 in turn, built from their closed-form terms
+    and applied by string transport, each kept at its first sighting
+    against every point seen so far."""
+    if radius == 0:
+        return ((ONE,),)
+    inner = orbit_by_transport(radius - 1)
+    gens = [GroupElement(generator_terms(k, sign)) for k, sign in ((0, 1), (0, -1), (1, 1), (1, -1))]
+    seen = {p for level in inner for p in level}
+    level: list[DiagonalProjection] = []
+    for p in inner[-1]:
+        for g in gens:
+            q = act_by_transport(g, p)
+            if q not in seen:
+                seen.add(q)
+                level.append(q)
+    return inner + (tuple(level),)
+
+
+def separation_by_orbit(
     fs: list[GroupElement], max_radius: int
 ) -> tuple[DiagonalProjection, tuple[DiagonalProjection, ...]] | None:
-    """The first point g . 1, g along ball_by_words(max_radius), whose
-    images under the family are pairwise distinct, and those images;
-    None if there is none.  Every element is acted on, repeats included.
-    The ball grows one radius at a time, only as far as the search goes."""
-    tested = 0
+    """The first point p along orbit_by_transport(max_radius), level by
+    level, whose images under the family are pairwise distinct, and those
+    images; None if there is none.  Every element is acted on, repeats
+    included.  The walk grows one level at a time, only as far as the
+    search goes."""
     for radius in range(max_radius + 1):
-        ball = ball_by_words(radius)
-        for g in ball[tested:]:
-            p = act(g, ONE)
+        for p in orbit_by_transport(radius)[radius]:
             images = tuple(act(f, p) for f in fs)
             if len(set(images)) == len(images):
                 return p, images
-        tested = len(ball)
     return None

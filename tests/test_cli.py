@@ -439,8 +439,8 @@ def test_separate_certificate(capsys):
 
 
 def test_separate_exits_2_when_the_ball_is_exhausted(capsys):
-    # e and an H_2 element that moves only points inside I(2^12): no point of the
-    # radius-8 ball tells them apart, so the search walks every layer afresh to its end
+    # e and an H_2 element that moves only points inside I(2^12): no point within 8 steps
+    # of 1 tells them apart, so the search walks the orbit afresh, level by level, to depth 8
     representation._layer.cache_clear()
     h = [("111", "1"), ("112", "211"), ("121", "212"), ("122", "221"), ("2", "222")]
     terms = [("2" * i + "1",) * 2 for i in range(12)] + [("2" * 12 + a, "2" * 12 + b) for a, b in h]

@@ -8,10 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from ftrees import _packed, representation
+from ftrees import _packed, elements, representation
 from ftrees.elements import GroupElement, NotInF, inverse, multiply
-from ftrees.generators import gen_x, generator_ball
-from ftrees.omega import ONE, DiagonalProjection, _wrap, act, h2_member
+from ftrees.generators import _generators, gen_x, generator_ball
+from ftrees.omega import ONE, DiagonalProjection, act, h2_member, orbit_levels
 from ftrees.representation import (
     FormalVector,
     IndependenceCertificate,
@@ -21,7 +21,7 @@ from ftrees.representation import (
     separating_point,
 )
 
-from oracles import act_by_transport, ball_by_words, separation_by_ball
+from oracles import act_by_transport, orbit_by_transport, separation_by_orbit
 
 
 def test_vector_validation_and_normalization():
@@ -78,30 +78,25 @@ def test_separating_point_examples():
         separating_point([x0, GroupElement([("22", "1"), ("1", "21"), ("21", "22")])])
 
 
-def test_ball_walk_is_the_generator_ball():
-    # the cached layers' spheres, in order, are the generator ball
-    spheres = [representation._layer(r)[0] for r in range(5)]
-    for r in range(5):
-        ball = generator_ball(r)
-        assert [f.terms for f in ball] == [f.terms for s in spheres[: r + 1] for f in s]
-        assert len({f.terms for f in ball}) == len(ball)
-    assert [len(s) for s in spheres] == [1, 4, 12, 36, 108]
-    # each sphere holds the elements of its word length: the radius of the first ball holding them
-    balls = [set(generator_ball(r)) for r in range(5)]
-    for r, sphere in enumerate(spheres):
-        for f in sphere:
-            assert r == next(s for s in range(5) if f in balls[s])
+def test_layers_are_the_points_of_the_generator_ball():
+    # layer r holds the points g . 1 of the elements g of word length r that no shorter
+    # element reaches, each once: the candidates of the generator ball, sphere by sphere
+    layers = [representation._layer(r) for r in range(6)]
+    met = set()
+    for r, layer in enumerate(layers):
+        points = {act(g, ONE) for g in generator_ball(r)}
+        assert set(layer) == points - met and len(set(layer)) == len(layer)
+        met |= points
+    assert [len(layer) for layer in layers] == [1, 4, 10, 27, 76, 197]
+    # in the discovery order of the orbit walk, as projections
+    assert [p for layer in layers for p in layer] == list(orbit_levels(ONE, 5).depths)
+    assert all(type(p) is DiagonalProjection for layer in layers for p in layer)
 
 
 def test_layer_points_are_the_first_sightings_of_the_oracle_walk():
-    seen, want = set(), []
-    for g in ball_by_words(5):
-        p = act(g, ONE)
-        if p not in seen:
-            seen.add(p)
-            want.append(p)
-    got = [p for r in range(6) for p in representation._layer(r)[1]]
-    assert [_wrap(p) for p in got] == want
+    got = tuple(representation._layer(r) for r in range(9))
+    assert got == orbit_by_transport(8)
+    assert [len(layer) for layer in got] == [1, 4, 10, 27, 76, 197, 522, 1364, 3515]
 
 
 def test_separating_point_matches_radius_search():
@@ -111,8 +106,8 @@ def test_separating_point_matches_radius_search():
     radii = set()
     for fs in families:
         p = separating_point(fs)
-        assert p == separation_by_ball(fs, 8)[0]
-        radii.add(next(r for r in range(9) if p in {act(g, ONE) for g in generator_ball(r)}))
+        assert p == separation_by_orbit(fs, 8)[0]
+        radii.add(next(r for r, level in enumerate(orbit_by_transport(8)) if p in level))
     # points come from several radii, so earlier candidates get skipped
     assert len(radii) >= 4
 
@@ -225,8 +220,10 @@ def count_acts(monkeypatch) -> list:
 
 
 def test_certificate_compiles_each_element_once(monkeypatch):
+    for _, g in _generators():  # the orbit walk's generators compile once per process
+        g._interval_map
     built = count_calls(monkeypatch, "__init__", lambda g, terms: terms)
-    # no cached layers, so that this search walks the ball itself
+    # no cached layers, so that this search walks the orbit itself
     representation._layer.cache_clear()
     rng = random.Random(31)
     sample = rng.sample(generator_ball(4), 40)
@@ -234,10 +231,9 @@ def test_certificate_compiles_each_element_once(monkeypatch):
     fs = [GroupElement(f.terms) for f in sample]
     cert = independence_certificate(fs)
     assert cert.verify()
-    family = sorted(id(t) for t in built if any(t is f._quads for f in fs))
-    assert family == sorted(id(f._quads) for f in fs)
-    walked = [t for t in built if not any(t is f._quads for f in fs)]
-    assert len(walked) > 1 and len(set(walked)) == len(walked)
+    # each element of the family compiles once, and the walk compiles nothing
+    assert sorted(map(id, built)) == sorted(id(f._quads) for f in fs)
+    assert representation._layer.cache_info().currsize > 1
     # the cached layers serve the next family: only its own elements compile
     built.clear()
     fs = [GroupElement(f.terms) for f in sample]
@@ -267,7 +263,7 @@ def test_a_candidate_stops_at_its_first_repeated_image(monkeypatch):
     cert = independence_certificate(fs)
     family = {id(f._interval_map) for f in fs}
     assert sum(p == ONE and id(g) in family for g, p in calls) == 2
-    assert cert.point == separation_by_ball(fs, 8)[0]
+    assert cert.point == separation_by_orbit(fs, 8)[0]
     assert cert.verify()
 
 
@@ -277,7 +273,7 @@ def test_separating_point_matches_radius_search_on_seeded_families():
     for _ in range(12):
         fs = rng.sample(ball, rng.randint(20, 48))
         p = separating_point(fs)
-        assert p == separation_by_ball(fs, 8)[0]
+        assert p == separation_by_orbit(fs, 8)[0]
         assert len({act(f, p) for f in fs}) == len(fs)
 
 
@@ -292,7 +288,7 @@ def deep_h2(k: int, side: str) -> GroupElement:
     )
 
 
-def test_certificate_matches_the_ball_reference_search():
+def test_certificate_matches_the_orbit_reference_search():
     # no cached layers: the searches below walk as far as they need
     representation._layer.cache_clear()
     rng = random.Random(40)
@@ -305,7 +301,7 @@ def test_certificate_matches_the_ball_reference_search():
         if n % 3 == 0:  # e and a deep element agree on every coarse point
             fs += [GroupElement.identity(), rng.choice(deep)]
             rng.shuffle(fs)
-        want = separation_by_ball(fs, radius)
+        want = separation_by_orbit(fs, radius)
         if want is None:
             with pytest.raises(SearchExhausted):
                 independence_certificate(fs, radius)
@@ -322,22 +318,46 @@ def test_certificate_matches_the_ball_reference_search():
     assert layers[0] < layers[-1] and layers[-1] > 4
 
 
+def test_a_cold_exhausted_search_makes_no_group_products(monkeypatch):
+    # e and an H2 element moved into I(2^12): no point within 8 steps of 1 tells them apart
+    fs = [GroupElement.identity(), deep_h2(12, "2")]
+    representation._layer.cache_clear()
+    walks, merge_walk = [], elements._merge_walk
+    monkeypatch.setattr(elements, "_merge_walk", lambda a, b: walks.append(1) or merge_walk(a, b))
+    with pytest.raises(SearchExhausted) as info:
+        independence_certificate(fs)
+    assert info.value.radius == 8
+    assert str(info.value) == "no separating point in the generator ball of radius 8"
+    assert walks == []  # the candidates come from the orbit walk, not from a walk of the group
+    levels = orbit_by_transport(6)
+    assert all(set(representation._layer(r)) == set(levels[r]) for r in range(7))
+
+
 def test_an_interrupted_extension_leaves_a_prefix_of_the_walk(monkeypatch):
     layer = representation._layer
     layer.cache_clear()
     clean = [layer(r) for r in range(5)]
     layer.cache_clear()
-    acts = 0
+    depth, acts, act = None, 0, _packed.PackedElement.act
 
-    class Interrupted(_packed.PackedElement):
-        def act(self, n, ends):
-            nonlocal acts
+    def walk(start, to):
+        nonlocal depth
+        depth = to
+        try:
+            return orbit_levels(start, to)
+        finally:
+            depth = None
+
+    def interrupted(self, n, ends):
+        nonlocal acts
+        if depth == 3:
             acts += 1
-            if acts == 50:  # in the radius-3 sphere: the ball of radius 2 has 17 elements
+            if acts == 20:  # in the walk's last level: the two before it take 4 + 4 x 3 actions
                 raise KeyboardInterrupt
-            return super().act(n, ends)
+        return act(self, n, ends)
 
-    monkeypatch.setattr(representation, "PackedElement", Interrupted)
+    monkeypatch.setattr(representation, "orbit_levels", walk)
+    monkeypatch.setattr(_packed.PackedElement, "act", interrupted)
     fs = [GroupElement.identity(), deep_h2(6, "1")]
     with pytest.raises(KeyboardInterrupt):
         independence_certificate(fs)
@@ -345,7 +365,7 @@ def test_an_interrupted_extension_leaves_a_prefix_of_the_walk(monkeypatch):
     assert layer.cache_info().currsize == 3
     assert [layer(r) for r in range(3)] == clean[:3]
     monkeypatch.undo()
-    assert independence_certificate(fs).point == separation_by_ball(fs, 8)[0]
+    assert independence_certificate(fs).point == separation_by_orbit(fs, 8)[0]
     assert [layer(r) for r in range(5)] == clean
 
 
@@ -365,7 +385,7 @@ def test_concurrent_searches_extend_one_table():
             points = list(pool.map(separating_point, families, timeout=120))
     finally:
         sys.setswitchinterval(switch)
-    assert points == [separation_by_ball(fs, 8)[0] for fs in families]
+    assert points == [separation_by_orbit(fs, 8)[0] for fs in families]
     # no sighting lost or repeated: the layers are those of a walk made alone
     shared = [layer(r) for r in range(layer.cache_info().currsize)]
     layer.cache_clear()
