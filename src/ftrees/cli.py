@@ -41,8 +41,8 @@ MAX_ERROR_CHARS = 200
 def _check_depth(depth: int) -> None:
     """Reject a depth above the FTREES_MAX_DEPTH cap (default 12).  At the
     cap, from the start 1, `orbit 1 --depth 12 --out f` writes 243,539
-    points (18.2 MB) in about 3.5 s at 110 MB peak RSS (Python 3.11.7,
-    2 vCPUs); a deeper start costs more, up to MAX_ORBIT_SIZE."""
+    points (18.2 MB) in about 3.1 s at 107 MB peak RSS (medians of 6 runs,
+    Python 3.11.7, 2 vCPUs); a deeper start costs more, up to MAX_ORBIT_SIZE."""
     raw = os.environ.get("FTREES_MAX_DEPTH", "12")
     try:
         cap = int(raw)
@@ -176,8 +176,8 @@ def format_pair(pair: boundary.PairTruncation) -> str:
 def export_dot(kind: str, f: GroupElement) -> str:
     """DOT text of the bipartite diagram or the tree pair."""
     lines = []
+    terms = f.terms  # canonical terms are in alpha order: a{i} is terms[i]
     if kind == "bipartite":
-        terms = f.terms  # canonical terms are in alpha order: a{i} is terms[i]
         by_beta = sorted(range(len(terms)), key=lambda i: terms[i].beta)
         lines.append("digraph bipartite {")
         lines.append("  rankdir=TB;")
@@ -200,8 +200,8 @@ def export_dot(kind: str, f: GroupElement) -> str:
         lines.append("digraph treepair {")
         lines.append("  node [shape=circle, label=\"\"];")
         for name, words, tag in (
-            ("domain", [t.beta for t in f.terms], "d"),
-            ("range", [t.alpha for t in f.terms], "r"),
+            ("domain", [t.beta for t in terms], "d"),
+            ("range", [t.alpha for t in terms], "r"),
         ):
             ordinal = {v: i for i, v in enumerate(sorted(words), 1)}
             vertices = sorted({w[:i] for w in ordinal for i in range(len(w) + 1)})

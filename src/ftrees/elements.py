@@ -82,7 +82,7 @@ class GroupElement(Frozen):
     """Canonical (reduced, alpha-sorted) unitary word sum.
 
     Each term is stored as its two intervals (`words.Quad`); `terms`, the
-    word form, is made on first use and kept.  The constructor checks and
+    word form, is made on each read and never kept.  The constructor checks and
     canonicalizes (alpha, beta) pairs given in any order and refinement,
     as :func:`validate_unitary` does, raising `NotUnitary` if not unitary.
     """
@@ -93,10 +93,10 @@ class GroupElement(Frozen):
         self.__dict__.update(validate_unitary(list(terms)).__dict__)
 
     def __reduce__(self):
-        """The intervals and recorded F membership; never the cached `terms` or `_interval_map`."""
+        """The intervals and recorded F membership; never the compiled `_interval_map`."""
         return _element, (self._quads, self.__dict__.get("_in_f"))
 
-    @cached_property
+    @property
     def terms(self) -> tuple[Term, ...]:
         return tuple(Term(word(la, va), word(lb, vb)) for la, va, lb, vb in self._quads)
 
@@ -107,12 +107,6 @@ class GroupElement(Frozen):
     @classmethod
     def identity(cls) -> "GroupElement":
         return _element(((0, 0, 0, 0),), True)
-
-    def range_code(self) -> CompleteCode:
-        return CompleteCode(t.alpha for t in self.terms)
-
-    def domain_code(self) -> CompleteCode:
-        return CompleteCode(t.beta for t in self.terms)
 
     def is_identity(self) -> bool:
         return self._quads == ((0, 0, 0, 0),)
@@ -269,9 +263,9 @@ def parity_split(u: GroupElement) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
     Negative even degrees count as even; this is the ZZ/2 gauge grading,
     under which (fg)_0 = f_0 g_0 + f_1 g_1.
     """
-    even = tuple(t for t in u.terms if t.degree % 2 == 0)
-    odd = tuple(t for t in u.terms if t.degree % 2 != 0)
-    return even, odd
+    terms = u.terms
+    even = tuple(t for t in terms if t.degree % 2 == 0)
+    return even, tuple(t for t in terms if t.degree % 2 != 0)
 
 
 def height(u: GroupElement) -> int:

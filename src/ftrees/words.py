@@ -47,8 +47,8 @@ def lex_compare(u: str, v: str) -> Ordering:
 
     On any antichain this is a strict total order.  A PREFIX_RELATED
     result (one word an initial segment of the other, equality included)
-    never occurs between members of a valid code, so callers use it to
-    detect malformed input.
+    never occurs between members of a valid code.  The library itself never
+    calls this: it checks a code by tiling its intervals (`_tiles`).
     """
     if u.startswith(v) or v.startswith(u):
         return Ordering.PREFIX_RELATED
@@ -118,20 +118,8 @@ class CompleteCode(Frozen):
     def __contains__(self, w: str) -> bool:
         return w in self.words
 
-    def refines(self, other: "CompleteCode") -> bool:
-        """True iff every word here extends some word of `other`: then the
-        words here are the pieces of the merge walk."""
-        return len(_merge_walk(_diagonal(self), _diagonal(other))) == len(self)
-
     def __str__(self) -> str:
         return "{" + ", ".join(word_to_str(w) for w in self.words) + "}"
-
-
-def uniform_code(k: int) -> CompleteCode:
-    """All 2^k words of length k."""
-    if k < 0:
-        raise ValueError("length must be >= 0")
-    return CompleteCode(_packed.word(k, v) for v in range(1 << k))
 
 
 # A term S_alpha S_beta* as the intervals (|alpha|, value, |beta|, value)

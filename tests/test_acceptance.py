@@ -56,8 +56,10 @@ from ftrees.omega import (
     trace,
 )
 from ftrees.representation import independence_certificate
+from ftrees.words import CompleteCode
 
 from oracles import (
+    _all_words,
     atoms_at_level,
     brute_force_realizable,
     closed_form_action,
@@ -93,9 +95,7 @@ def _random_level_projection(rng: random.Random, level: int) -> DiagonalProjecti
 
 
 def test_criterion_1_worked_product_golden():
-    from ftrees.words import uniform_code
-
-    level3 = uniform_code(3)
+    level3 = CompleteCode(_all_words(3))
     refined_u = " + ".join(str(t) for t in refine(X0, level3, Side.DOMAIN))
     assert refined_u == (
         "1111:111 + 1112:112 + 1121:121 + 1122:122 + "

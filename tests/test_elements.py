@@ -1,6 +1,8 @@
 import contextlib
+import copy
 import io
 import json
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -36,9 +38,10 @@ from ftrees.generators import (
 )
 from ftrees.omega import ONE, act, realize
 from ftrees.representation import independence_certificate
-from ftrees.words import CompleteCode, kraft_sum, uniform_code
+from ftrees.words import CompleteCode, kraft_sum
 
 from oracles import (
+    _all_words,
     common_refinement_by_scan,
     compose_values,
     composition_agrees,
@@ -347,7 +350,7 @@ def test_the_text_parser_agrees_with_validate_unitary_byte_for_byte():
 
 def test_an_element_read_from_words_keeps_only_its_intervals():
     # one representation however an element is built: the words of `terms` are made
-    # from the intervals on first read, also when the input words were already reduced
+    # from the intervals on each read, also when the input words were already reduced
     rng = random.Random(88)
     merged = Counter()
     for n in range(120):
@@ -367,10 +370,52 @@ def test_an_element_read_from_words_keeps_only_its_intervals():
             assert "terms" not in vars(f), n
             text = str(f)
             assert "terms" not in vars(f) and text == str(built[0]), n
-            assert f.terms == want and "terms" in vars(f), n
+            assert f.terms == want and "terms" not in vars(f), n
             assert str(f) == text == element_text(want), n
     # inputs already reduced, whose words were once kept, and inputs that merge
     assert merged[False] >= 30 and merged[True] >= 30, merged
+
+
+def test_no_reader_of_an_element_keeps_its_words():
+    # every constructor, then every reader of the words: an element holds its intervals,
+    # its recorded F membership and, once it has acted, its compiled map, and nothing else
+    rng = random.Random(89)
+    kinds = Counter()
+    for n in range(60):
+        alphas, betas = random_pairing(rng, rng.randint(1, 12))
+        terms = list(zip(alphas, betas))
+        nf = random_normal_form(rng, rng.randint(0, 16))
+        u, w = GroupElement(terms), from_normal_form(nf)
+        as_json = json.dumps({"terms": [[a or "e", b or "e"] for a, b in terms]})
+        built = [
+            cli.parse_element(element_text(terms)),
+            cli.parse_element(as_json, True),
+            u,
+            w,
+            multiply(u, w),
+            w * u,
+            inverse(u),
+            ~w,
+            realize(act(w, ONE)),
+        ]
+        for f in built:
+            kinds[is_order_preserving(f)] += 1
+            if is_order_preserving(f):
+                act(f, ONE)
+            words = f.terms
+            assert f.terms == words and str(f) == element_text(words), n
+            assert json.loads(cli.format_element(f, as_json=True)) == {
+                "terms": [[a or "e", b or "e"] for a, b in words]
+            }, n
+            cli.export_dot("bipartite", f)
+            cli.export_dot("treepair", f)
+            even, odd = parity_split(f)
+            assert sorted(even + odd) == list(words), n
+            for g in (f, copy.copy(f), pickle.loads(pickle.dumps(f))):
+                assert g == f and g.terms == words, n
+                assert "terms" not in vars(g), n
+                assert set(vars(g)) <= {"_quads", "_in_f", "_interval_map"}, n
+    assert kinds[True] >= 200 and kinds[False] >= 50, kinds
 
 
 def run_separate(texts: list[str]) -> tuple[int, str, str]:
@@ -437,7 +482,7 @@ def test_equal_elements_are_equal_and_hash_equal_however_built():
         words = product_of_word(nf.letters())
         x = gen_x(rng.randint(0, 4))
         finer = CompleteCode(
-            common_refinement_by_scan(tuple(t.alpha for t in words), uniform_code(3).words)
+            common_refinement_by_scan(tuple(t.alpha for t in words), tuple(_all_words(3)))
         )
         # a term split into its two children, moved apart: unreduced and unsorted
         i = rng.randrange(len(words))
@@ -553,7 +598,7 @@ def test_reduction_undoes_every_split_as_the_oracle_does():
         for a, b in f.terms:
             # all 2^k suffix pairs: the merges cascade k levels up
             k = rng.randint(1, 6)
-            split += [Term(a + s, b + s) for s in uniform_code(k).words]
+            split += [Term(a + s, b + s) for s in _all_words(k)]
         assert merge_siblings(split) == f.terms
         assert _reduce_terms([interval(a) + interval(b) for a, b in sorted(split)]) == f._quads
         rng.shuffle(split)
@@ -562,9 +607,10 @@ def test_reduction_undoes_every_split_as_the_oracle_does():
 
 
 def test_refine_worked_example():
-    got = refine(X0, uniform_code(3), Side.DOMAIN)
+    level3 = CompleteCode(_all_words(3))
+    got = refine(X0, level3, Side.DOMAIN)
     assert [(t.alpha, t.beta) for t in got] == REFINED_U
-    got_w = refine(W, uniform_code(3), Side.RANGE)
+    got_w = refine(W, level3, Side.RANGE)
     assert [(t.alpha, t.beta) for t in got_w] == REFINED_W
 
 
@@ -581,7 +627,7 @@ def test_refine_trivial_cases():
 def test_refine_preserves_degrees_and_round_trips():
     random.seed(2)
     ball = generator_ball(3)
-    deeper = uniform_code(5)
+    deeper = CompleteCode(_all_words(5))
     for f in random.sample(ball, 20):
         for side in (Side.DOMAIN, Side.RANGE):
             terms = refine(f, deeper, side)
@@ -590,7 +636,7 @@ def test_refine_preserves_degrees_and_round_trips():
 
 
 def test_multiply_worked_product():
-    got = multiply_terms(X0, W, uniform_code(3))
+    got = multiply_terms(X0, W, CompleteCode(_all_words(3)))
     assert [(t.alpha, t.beta) for t in got] == PRODUCT_DISPLAY
     # the displayed sum is not sibling-reduced; canonically it has 6 terms
     assert multiply(X0, W).terms == validate_unitary(
@@ -736,10 +782,10 @@ def test_canonical_form_unique_under_random_refinement():
     for _ in range(40):
         f = random.choice(ball)
         # refine the domain against a random code, then reduce back
-        other = random.choice(ball).domain_code()
+        other = CompleteCode(t.beta for t in random.choice(ball).terms)
         from ftrees.words import common_refinement
 
-        target = common_refinement(f.domain_code(), other)
+        target = common_refinement(CompleteCode(t.beta for t in f.terms), other)
         assert reduce(refine(f, target, Side.DOMAIN)).terms == f.terms
 
 
@@ -783,7 +829,9 @@ def test_gauge_grading_of_products():
     for _ in range(40):
         f, g = random.choice(ball), random.choice(ball)
         fg = multiply(f, g)
-        via = common_refinement(f.domain_code(), g.range_code())
+        via = common_refinement(
+            CompleteCode(t.beta for t in f.terms), CompleteCode(t.alpha for t in g.terms)
+        )
         ru_by_beta = {t.beta: t for t in refine(f, via, Side.DOMAIN)}
         even_support = []
         for w_term in refine(g, via, Side.RANGE):

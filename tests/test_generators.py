@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftrees import generators
+from ftrees import elements, generators
 from ftrees.elements import (
     GroupElement,
     NotInF,
@@ -253,6 +253,18 @@ def test_normal_form_uniqueness_round_trip():
         assert (back.positive, back.negative) == (nf.positive, nf.negative), nf
         count += 1
     assert count > 2000
+
+
+def test_a_normal_form_round_trip_makes_no_products(monkeypatch):
+    # a work count: both directions walk the leaves, and neither multiplies
+    products = []
+    for module in (elements, generators):
+        product = module.multiply
+        monkeypatch.setattr(module, "multiply", lambda u, w, m=product: products.append(1) or m(u, w))
+    nf = random_normal_form(random.Random(91), 64)
+    assert len(nf.letters()) == 64
+    assert to_normal_form(from_normal_form(nf)) == nf
+    assert products == []
 
 
 def test_ball_round_trip_and_counts():

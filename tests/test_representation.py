@@ -5,10 +5,11 @@ import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ftrees import _packed, elements, representation
+from ftrees import _packed, cli, elements, representation
 from ftrees.elements import GroupElement, NotInF, inverse, multiply
 from ftrees.generators import _generators, gen_x, generator_ball
 from ftrees.omega import ONE, DiagonalProjection, act, h2_member, orbit_levels
@@ -265,6 +266,20 @@ def test_a_candidate_stops_at_its_first_repeated_image(monkeypatch):
     assert sum(p == ONE and id(g) in family for g, p in calls) == 2
     assert cert.point == separation_by_orbit(fs, 8)[0]
     assert cert.verify()
+
+
+def test_the_separate_golden_family_is_separated_at_its_13th_candidate(monkeypatch):
+    # a work count: a search that tries more candidates or more images fails here
+    case = json.loads((Path(__file__).with_name("goldens.json")).read_text())["separate"]
+    fs = [cli.parse_element(text) for text in case["argv"][1:]]
+    assert len(fs) == 53
+    candidates = [p for radius in range(4) for p in representation._layer(radius)]
+    calls = count_acts(monkeypatch)
+    cert = independence_certificate(fs)
+    assert json.dumps(cert.to_json(), sort_keys=True) + "\n" == case["stdout"]
+    assert candidates.index(cert.point) == 12
+    family = {id(f._interval_map) for f in fs}
+    assert sum(id(g) in family for g, _ in calls) == 242
 
 
 def test_separating_point_matches_radius_search_on_seeded_families():

@@ -13,7 +13,6 @@ from ftrees.words import (
     is_prefix,
     kraft_sum,
     lex_compare,
-    uniform_code,
     word_to_str,
 )
 
@@ -97,7 +96,6 @@ def test_common_refinement_properties():
         assert r1.words == r2.words
         assert common_refinement(r1, a).words == r1.words
         assert common_refinement(r1, b).words == r1.words
-        assert r1.refines(a) and r1.refines(b)
 
 
 def test_common_refinement_matches_scan_oracle():
@@ -115,9 +113,6 @@ def test_common_refinement_matches_scan_oracle():
     for _ in range(300):
         a, b = random_code(rng.randint(1, 64)), random_code(rng.randint(1, 64))
         assert common_refinement(a, b).words == common_refinement_by_scan(a.words, b.words)
-        for x, y in ((a, b), (b, a)):
-            by_scan = all(any(w.startswith(o) for o in y.words) for w in x.words)
-            assert x.refines(y) == by_scan
 
 
 def test_code_characterization_and_catalan():
@@ -153,14 +148,6 @@ def test_complete_code_rejections():
     with pytest.raises(ValueError):
         CompleteCode(["1", "23"])  # bad letter
     assert "11" in CompleteCode(["11", "12", "2"]) and "1" not in CompleteCode(["11", "12", "2"])
-
-
-def test_uniform_code():
-    assert uniform_code(0).words == ("",)
-    assert uniform_code(2).words == ("11", "12", "21", "22")
-    assert len(uniform_code(5)) == 32
-    with pytest.raises(ValueError):
-        uniform_code(-1)
 
 
 def test_word_str_round_trip():
