@@ -5,12 +5,12 @@ the right.  A diagonal projection is a finite union of such intervals,
 stored as (n, ends): the flat sorted endpoints a0, b0, a1, b1, ... of
 its merged intervals [a, b) in units of 2^-n.  n is minimal (not every
 endpoint is even), so the form is canonical and hashable.  Words are
-made only at the edges: `interval` and `pack` read them, `unpack` splits
-the intervals into their words' (length, value) blocks and `word` writes
-one.  Words of at most 8 letters (95 % of those the certify benchmark reads
-and prints) are looked up in tables made at import, longer ones parsed or
-formatted.  `round_out` coarsens a projection to the cells of a scale it
-meets.
+made only at the edges: `interval` reads and checks one, `pack` reads a
+support, `unpack` splits the intervals into their words' (length, value)
+blocks and `word` writes one.  Words of at most 8 letters (95 % of those
+the certify benchmark reads and prints) are looked up in tables made at
+import, longer ones checked and parsed or formatted.  `round_out` coarsens
+a projection to the cells of a scale it meets.
 
 A term S_alpha S_beta* maps I(beta) affinely onto I(alpha), so an
 element acts by sending p on I(beta) to I(alpha) for even-degree terms
@@ -33,10 +33,19 @@ for _ in range(8):
 _VALUES = {w: v for ws in _WORDS for v, w in enumerate(ws)}
 
 
+def check_word(w: str) -> str:
+    # strip runs at C speed; the bad letter is looked for only on error
+    if w.strip("12"):
+        bad = next(ch for ch in w if ch not in "12")
+        raise ValueError(f"invalid letter {bad!r} in word {w!r}")
+    return w
+
+
 def interval(w: str) -> tuple[int, int]:
-    """(length, value) of a word: I(w) is [v, v + 1) in units of 2^-length."""
+    """(length, value) of a word, checked by its table entry or else by
+    `check_word`: I(w) is [v, v + 1) in units of 2^-length."""
     v = _VALUES.get(w)
-    return len(w), int(w.translate(_TO_BITS), 2) if v is None else v
+    return len(w), int(check_word(w).translate(_TO_BITS), 2) if v is None else v
 
 
 def word(n: int, v: int) -> str:

@@ -24,7 +24,7 @@ from .omega import (
     ONE, ZERO, DiagonalProjection, InternalSearchExhausted, _wrap, act, complement, join, meet,
     omega2_member, trace,
 )
-from .words import check_word, word_to_str
+from .words import word_to_str
 
 
 class ZeroProjection(ValueError):
@@ -65,7 +65,7 @@ class TreeTruncation(Frozen):
     cells: DiagonalProjection
 
     def __init__(self, depth: int, vertices: Iterable[str]) -> None:
-        vs = frozenset(check_word(v) for v in vertices)
+        vs = frozenset(_packed.check_word(v) for v in vertices)
         if depth < 0:
             raise MalformedPair("depth must be >= 0")
         # the set is the prefix closure of its depth-k vertices; checked

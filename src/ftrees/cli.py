@@ -17,6 +17,7 @@ import sys
 from typing import Callable, Sequence
 
 from . import boundary, omega, representation
+from .dyadic import digits
 from .elements import (
     GroupElement, _from_words, inverse, is_cyclic_order_preserving, is_order_preserving, multiply,
 )
@@ -94,8 +95,8 @@ def _json_words(value: object, what: str) -> list[str]:
     return [_word(w) for w in value]
 
 
-def parse_element(text: str, as_json: bool = False, table: dict | None = None) -> GroupElement:
-    """The element written `text`; the elements of one command may share one word `table`."""
+def parse_element(text: str, as_json: bool = False) -> GroupElement:
+    """The element written `text`."""
     if as_json:
         terms = _json_object(text, "terms")["terms"]
         if not isinstance(terms, list) or not all(
@@ -113,7 +114,7 @@ def parse_element(text: str, as_json: bool = False, table: dict | None = None) -
                 raise ValueError("empty term in element syntax")
         alphas = [_word(a.strip()) for a, _, _ in terms]
         betas = [_word(b.strip()) for _, _, b in terms]
-    return _from_words(alphas, betas, {} if table is None else table)
+    return _from_words(alphas, betas)
 
 
 def format_element(f: GroupElement, as_json: bool = False) -> str:
@@ -323,7 +324,7 @@ def _cmd_omega2(args: argparse.Namespace) -> int:
     if km is None:
         return _answer(False)
     k, m = km
-    print(f"k={k} m={m}")
+    print(f"k={digits(k)} m={m}")
     return 0
 
 
@@ -391,8 +392,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 @_command("separate", "independence certificate for elements", ("elements", {"nargs": "+"}))
 def _cmd_separate(args: argparse.Namespace) -> int:
-    table: dict = {}  # the family's words, each read once
-    fs = [parse_element(e, args.json, table) for e in args.elements]
+    fs = [parse_element(e, args.json) for e in args.elements]
     cert = representation.independence_certificate(fs)
     print(json.dumps(cert.to_json(), sort_keys=True))
     return 0

@@ -14,6 +14,15 @@ from typing import Union
 from ._frozen import Frozen
 
 
+def digits(n: int) -> str:
+    """str(n), also past CPython's limit on it (4,300 digits by default)."""
+    try:
+        return str(n)
+    except ValueError:  # past the limit; decimal is imported on this path only
+        import decimal
+        return str(decimal.Decimal(n))
+
+
 @total_ordering
 class Dyadic(Frozen):
     """numerator / 2**exponent, stored in lowest terms (exponent >= 0)."""
@@ -98,8 +107,8 @@ class Dyadic(Frozen):
 
     def __str__(self) -> str:
         if self.exponent == 0:
-            return str(self.numerator)
-        return f"{self.numerator}/{1 << self.exponent}"
+            return digits(self.numerator)
+        return f"{digits(self.numerator)}/{digits(1 << self.exponent)}"
 
     def __repr__(self) -> str:
-        return f"Dyadic({self.numerator}, {self.exponent})"
+        return f"Dyadic({digits(self.numerator)}, {self.exponent})"

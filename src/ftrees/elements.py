@@ -18,9 +18,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ._frozen import Frozen
 from ._packed import PackedElement, interval, word
-from .words import (
-    CompleteCode, Quad, _diagonal, _merge_walk, _read, _tiles, _tiling, word_to_str,
-)
+from .words import CompleteCode, Quad, _diagonal, _merge_walk, _tiles, _tiling, word_to_str
 
 
 class NotUnitary(ValueError):
@@ -81,10 +79,11 @@ def _reduce_terms(quads: Iterable[Quad]) -> tuple[Quad, ...]:
 class GroupElement(Frozen):
     """Canonical (reduced, alpha-sorted) unitary word sum.
 
-    Each term is stored as its two intervals (`words.Quad`); `terms`, the
-    word form, is made on each read and never kept.  The constructor checks and
-    canonicalizes (alpha, beta) pairs given in any order and refinement,
-    as :func:`validate_unitary` does, raising `NotUnitary` if not unitary.
+    Each term is stored as its two intervals (`words.Quad`), beside the F
+    membership that every constructor records; `terms`, the word form, is
+    made on each read and never kept.  The constructor checks and canonicalizes
+    (alpha, beta) pairs given in any order and refinement, as
+    :func:`validate_unitary` does, raising `NotUnitary` if not unitary.
     """
 
     _quads: tuple[Quad, ...]
@@ -94,7 +93,7 @@ class GroupElement(Frozen):
 
     def __reduce__(self):
         """The intervals and recorded F membership; never the compiled `_interval_map`."""
-        return _element, (self._quads, self.__dict__.get("_in_f"))
+        return _element, (self._quads, self._in_f)
 
     @property
     def terms(self) -> tuple[Term, ...]:
@@ -111,19 +110,13 @@ class GroupElement(Frozen):
     def is_identity(self) -> bool:
         return self._quads == ((0, 0, 0, 0),)
 
-    # kept, not rescanned per call: a scan per `multiply` made word-problem `mul` 25 % slower
-    @cached_property
-    def _in_f(self) -> bool:
-        """`is_order_preserving`: the betas tile [0, 1] in alpha order."""
-        return not _tiles([q[2:] for q in self._quads])
-
     @cached_property
     def _interval_map(self) -> Optional[PackedElement]:
         """The interval map of `omega.act`, compiled once; None outside F."""
         return PackedElement(self._quads) if self._in_f else None
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return multiply(self, other)
+        return multiply(self, other) if isinstance(other, GroupElement) else NotImplemented
 
     def __invert__(self) -> "GroupElement":
         return inverse(self)
@@ -136,12 +129,11 @@ class GroupElement(Frozen):
         return f"GroupElement({self})"
 
 
-def _element(quads: tuple[Quad, ...], in_f: Optional[bool] = None) -> GroupElement:
-    # trusted constructor for reduced, alpha-sorted intervals; `in_f` is F membership, if known
+def _element(quads: tuple[Quad, ...], in_f: bool) -> GroupElement:
+    # trusted constructor for reduced, alpha-sorted intervals; `in_f` is their F membership,
+    # recorded, not rescanned per query: a scan per `multiply` made word-problem `mul` 25 % slower
     f = object.__new__(GroupElement)
-    f.__dict__["_quads"] = quads
-    if in_f is not None:
-        f.__dict__["_in_f"] = in_f
+    f.__dict__.update(_quads=quads, _in_f=in_f)
     return f
 
 
@@ -152,23 +144,23 @@ def validate_unitary(terms: Sequence[tuple[str, str]]) -> GroupElement:
     complete code (which checks every word); the lex pairing between the
     codes is then a bijection.
     """
-    return _from_words([a for a, _ in terms], [b for _, b in terms], {})
+    return _from_words([a for a, _ in terms], [b for _, b in terms])
 
 
-def _from_words(alphas: list[str], betas: list[str], table: dict) -> GroupElement:
-    """`validate_unitary` of the terms (alphas[i], betas[i]), read through
-    `table`.  Betas that tile in alpha order make an element of F, whose
-    domain words need no sort of their own."""
+def _from_words(alphas: list[str], betas: list[str]) -> GroupElement:
+    """`validate_unitary` of the terms (alphas[i], betas[i]), each word read
+    once by `interval`.  Betas that tile in alpha order make an element of F,
+    whose domain words need no sort of their own."""
     if not alphas:
         raise NotUnitary("empty term list (group elements are never zero)")
     side = "range"
     try:
-        ints, order = _tiling(alphas, table)
+        ints, order = _tiling(alphas)
         side = "domain"
-        beta_ints = _read(betas, table)
+        beta_ints = list(map(interval, betas))
         in_f = not _tiles([beta_ints[i] for i in order])
         if not in_f:
-            _tiling(betas, table)  # the domain code in its own order, or its fault
+            _tiling(betas)  # the domain code in its own order, or its fault
     except ValueError as exc:
         raise NotUnitary(f"{side} side: {exc}") from exc
     return _element(_reduce_terms([ints[i] + beta_ints[i] for i in order]), in_f)
@@ -226,13 +218,14 @@ def multiply(u: GroupElement, w: GroupElement) -> GroupElement:
     """Product uw in composition order: w applied first, then u."""
     # no sorts for u in F: without this branch, word-problem `mul` ran 35.7 % slower
     if u._in_f:  # beta order is alpha order, in and out; uw is in F iff w is
-        return _element(_reduce_terms(_merge_walk(u._quads, w._quads)), w.__dict__.get("_in_f"))
-    return _element(_reduce_terms(_sorted(_merge_walk(_sorted(u._quads, 2), w._quads), 0)))
+        return _element(_reduce_terms(_merge_walk(u._quads, w._quads)), w._in_f)
+    quads = _reduce_terms(_sorted(_merge_walk(_sorted(u._quads, 2), w._quads), 0))
+    return _element(quads, not _tiles([q[2:] for q in quads]))
 
 
 def inverse(u: GroupElement) -> GroupElement:
     """Swap alpha and beta in every term and sort by alpha; reducedness is preserved."""
-    in_f = u.__dict__.get("_in_f")
+    in_f = u._in_f
     swapped = [(lb, vb, la, va) for la, va, lb, vb in u._quads]
     # recorded in F, beta order is alpha order: sorted anyway, inverses in F took 3x as long
     return _element(tuple(swapped if in_f else _sorted(swapped, 0)), in_f)
@@ -241,11 +234,11 @@ def inverse(u: GroupElement) -> GroupElement:
 def is_order_preserving(u: GroupElement) -> bool:
     """Membership in F: the bipartite diagram has no crossings, so in the
     canonical alpha order of the terms the betas tile [0, 1] too, which
-    `words._tiles` checks, the one proof.  The answer is kept on the
-    element, and the constructors that learn it record it at no cost:
-    parsing and `omega.realize` (both tile the betas in alpha order),
-    `identity`, `from_normal_form`, products uw with u in F (uw is in F
-    iff w is) and inverses.
+    `words._tiles` checks, the one proof.  Every constructor records the
+    answer on the element: parsing and `omega.realize` (both tile the betas
+    in alpha order), `identity`, `from_normal_form`, products uw with u in
+    F (uw is in F iff w is) and inverses at no cost, and a product with u
+    outside F by one scan of its betas.
     """
     return u._in_f
 

@@ -36,7 +36,7 @@ from .elements import (
     multiply,  # noqa: F401 -- bench/test_bench.py checks its tracer rebinds omega.multiply
 )
 from .generators import _generators
-from .words import Quad, _tiles, check_word
+from .words import Quad, _tiles
 
 
 class NotInOmega2(ValueError):
@@ -63,7 +63,8 @@ class DiagonalProjection(tuple):
     ends = property(operator.itemgetter(1))
 
     def __new__(cls, support: Iterable[str]) -> DiagonalProjection:
-        return tuple.__new__(cls, _packed.pack(sorted(check_word(w) for w in support)))
+        # `pack` checks each word too, but in sorted order: this names the input's first bad word
+        return tuple.__new__(cls, _packed.pack(sorted(_packed.check_word(w) for w in support)))
 
     def __init__(self, support: Iterable[str]) -> None:
         """Does nothing: `__new__` builds the value."""

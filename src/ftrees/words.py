@@ -14,23 +14,14 @@ from typing import Iterable, Iterator, Sequence
 
 from . import _packed
 from ._frozen import Frozen
+from ._packed import check_word  # noqa: F401 -- public here, defined beside `interval`
 from .dyadic import Dyadic
-
-ALPHABET = ("1", "2")
 
 
 class Ordering(Enum):
     BEFORE = -1
     PREFIX_RELATED = 0
     AFTER = 1
-
-
-def check_word(w: str) -> str:
-    # strip runs at C speed; the bad letter is looked for only on error
-    if w.strip("12"):
-        bad = next(ch for ch in w if ch not in ALPHABET)
-        raise ValueError(f"invalid letter {bad!r} in word {w!r}")
-    return w
 
 
 def word_to_str(w: str) -> str:
@@ -78,17 +69,11 @@ def _tiles(ints: Iterable[tuple[int, int]]) -> int:
     return int(gap or e != 1 << m)
 
 
-def _read(words: Iterable[str], table: dict[str, tuple[int, int]]) -> list[tuple[int, int]]:
-    """The words' `_packed.interval`s, in order.  `table` holds the words read
-    so far: a word enters it once `check_word` passes, so it is checked once."""
-    return [table.get(w) or table.setdefault(w, _packed.interval(check_word(w))) for w in words]
-
-
-def _tiling(words: Sequence[str], table: dict) -> tuple[list[tuple[int, int]], list[int]]:
-    """The words' intervals (`_read`) and their positions in lex order,
-    which puts a word before its extensions; raises ValueError unless they
-    tile [0, 1] in that order."""
-    ints = _read(words, table)
+def _tiling(words: Sequence[str]) -> tuple[list[tuple[int, int]], list[int]]:
+    """The words' intervals (`_packed.interval`, which checks each word) and
+    their positions in lex order, which puts a word before its extensions;
+    raises ValueError unless they tile [0, 1] in that order."""
+    ints = list(map(_packed.interval, words))
     order = sorted(range(len(words)), key=words.__getitem__)
     fault = _tiles([ints[i] for i in order])
     if fault < 0:
@@ -107,7 +92,7 @@ class CompleteCode(Frozen):
 
     def __init__(self, words: Iterable[str]) -> None:
         ws = tuple(words)
-        self.__dict__["words"] = tuple(ws[i] for i in _tiling(ws, {})[1])
+        self.__dict__["words"] = tuple(ws[i] for i in _tiling(ws)[1])
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.words)

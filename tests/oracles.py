@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
@@ -325,6 +326,19 @@ def word_from_str(s: str) -> str:
     if s == "e":
         return ""
     return check_word(s)
+
+
+def exact_digits(n: int) -> str:
+    """str(n) with CPython's limit on int-to-str conversion (4,300 digits by
+    default, from 3.10.7 on) lifted for the one call."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def first_bad_letter(w: str) -> str | None:

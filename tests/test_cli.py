@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftrees import cli, generators, omega, representation, words
+from ftrees import _packed, cli, generators, omega, representation
 from ftrees.boundary import PairTruncation, TreeTruncation
 from ftrees.cli import (
     MAX_UNNF_LETTERS,
@@ -33,7 +33,7 @@ from ftrees.omega import ONE, DiagonalProjection, orbit, orbit_levels
 from ftrees.representation import independence_certificate
 
 from children import child_env
-from oracles import pattern_window, random_normal_form
+from oracles import exact_digits, pattern_window, random_normal_form
 
 
 def run_cli(capsys, *argv):
@@ -582,19 +582,31 @@ def test_a_bad_letter_exits_2_naming_it_in_every_parser(capsys):
 
 
 def test_parse_element_checks_each_word_once(monkeypatch):
-    checked = []
-    check = words.check_word
+    # a word is checked by `_packed.interval`, the lookup that reads it
+    read = []
+    interval = _packed.interval
 
-    def counting_check(w):
-        checked.append(w)
-        return check(w)
+    def counting_interval(w):
+        read.append(w)
+        return interval(w)
 
-    monkeypatch.setattr(words, "check_word", counting_check)
+    for name in ("ftrees._packed.interval", "ftrees.elements.interval"):
+        monkeypatch.setattr(name, counting_interval)
     f = parse_element("11:1 + 12:21 + 2:22")
-    assert sorted(checked) == sorted(w for t in f.terms for w in t)
-    checked.clear()
+    assert sorted(read) == sorted(w for t in f.terms for w in t)
+    read.clear()
     parse_element(json.dumps({"terms": [["11", "1"], ["12", "21"], ["2", "22"]]}), as_json=True)
-    assert len(checked) == 6
+    assert len(read) == 6
+
+
+def test_values_of_more_than_4300_digits_print_in_full(capsys):
+    # past CPython's default limit on str(int), digit for digit
+    code, out, err = run_cli(capsys, "trace", f"P[{'1' * 20000}]")
+    assert (code, out, err) == (0, f"1/{exact_digits(1 << 20000)}\n", "")
+    assert len(out) == 6024
+    # tau = 1/2 + 2^-15001 = k/2^15001, with k = 2^15000 + 1 = 2 (mod 3)
+    code, out, err = run_cli(capsys, "omega2", f"P[{'2' * 15001}]+P[1]")
+    assert (code, out, err) == (0, f"k={exact_digits((1 << 15000) + 1)} m=7500\n", "")
 
 
 def test_json_of_the_wrong_shape_exits_2(capsys):

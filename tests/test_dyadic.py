@@ -7,6 +7,8 @@ import pytest
 
 from ftrees.dyadic import Dyadic
 
+from oracles import exact_digits
+
 
 def test_lowest_terms():
     assert Dyadic(4, 3) == Dyadic(1, 1)
@@ -23,6 +25,14 @@ def test_lowest_terms_of_large_and_signed_values():
     assert repr(Dyadic(0, 5)) == repr(Dyadic(0)) == "Dyadic(0, 0)"
     assert repr(Dyadic(-12, 3)) == "Dyadic(-3, 1)"
     assert repr(Dyadic(-(1 << 50), 60)) == "Dyadic(-1, 10)"
+
+
+def test_values_of_more_than_4300_digits_print_every_digit():
+    big = 3 ** 10000  # 4,772 digits
+    assert str(Dyadic(big, 7)) == f"{exact_digits(big)}/128"
+    assert str(Dyadic(-big)) == f"-{exact_digits(big)}"
+    assert str(Dyadic(1, 15000)) == f"1/{exact_digits(1 << 15000)}"
+    assert repr(Dyadic(big, 7)) == f"Dyadic({exact_digits(big)}, 7)"
 
 
 COMPARISONS = (operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge)

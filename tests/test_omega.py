@@ -10,6 +10,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ftrees import _packed, omega
 from ftrees.dyadic import Dyadic
@@ -40,6 +42,7 @@ from oracles import (
     closed_form_action,
     combine,
     complement_by_paths,
+    first_bad_letter,
     interval_of_word,
     measure,
     realize_by_words,
@@ -577,6 +580,26 @@ def test_words_and_intervals_agree_with_the_oracle_on_both_sides_of_the_tables()
         assert len(w) == n and set(w) <= {"1", "2"}, (n, v, w)
         assert interval_of_word(w) == (Fraction(v, 1 << n), Fraction(v + 1, 1 << n)), (n, v, w)
         assert _packed.interval(w) == (n, v), (n, v, w)
+
+
+@settings(max_examples=500)
+@given(st.characters(exclude_characters="12").flatmap(
+    lambda c: st.text(alphabet="12" + c, max_size=20)))
+@example("3")
+@example("0")
+@example("2" * 9 + "x")
+@example("1" * 8 + "_1")
+def test_interval_reads_a_word_and_refuses_every_other_string(w):
+    # strings of up to 20 letters, across the 8/9 boundary between table and parse
+    bad = first_bad_letter(w)
+    if bad is None:
+        n, v = _packed.interval(w)
+        assert n == len(w)
+        assert interval_of_word(w) == (Fraction(v, 1 << n), Fraction(v + 1, 1 << n))
+    else:
+        with pytest.raises(ValueError) as info:
+            _packed.interval(w)
+        assert str(info.value) == f"invalid letter {bad!r} in word {w!r}"
 
 
 def test_wrapped_projection_is_the_constructed_one():

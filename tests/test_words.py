@@ -16,7 +16,9 @@ from ftrees.words import (
     word_to_str,
 )
 
-from oracles import common_refinement_by_scan, first_bad_letter, is_antichain, word_from_str
+from oracles import (
+    common_refinement_by_scan, exact_digits, first_bad_letter, is_antichain, word_from_str,
+)
 
 words = st.text(alphabet="12", max_size=7)
 
@@ -156,6 +158,14 @@ def test_word_str_round_trip():
     assert word_from_str("121") == "121"
     with pytest.raises(ValueError):
         word_from_str("13")
+
+
+def test_a_kraft_sum_of_more_than_4300_digits_is_named_in_full():
+    ws = ("1" * 15000, "2")
+    with pytest.raises(ValueError) as info:
+        CompleteCode(ws)
+    kraft = f"{exact_digits((1 << 14999) + 1)}/{exact_digits(1 << 15000)}"
+    assert str(info.value) == f"Kraft sum of {ws} is {kraft}, not 1"
 
 
 def test_check_word_matches_a_letter_by_letter_oracle():
