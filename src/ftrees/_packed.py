@@ -68,21 +68,25 @@ def _canonical(n: int, ends: list[int]) -> tuple[int, tuple[int, ...]]:
 
 
 def pack(support: Iterable[str]) -> tuple[int, tuple[int, ...]]:
-    """Canonical (n, ends) of a lex-sorted antichain of words.
+    """Canonical (n, ends) of an antichain of words in any order.
 
-    Lex order is left-to-right order, so touching intervals are adjacent
-    and merge as they come (sibling pairs included).  A word that starts
-    before the previous interval ends is a repeat or an extension of an
+    Each word is read once by `interval`, in the order given, so a support
+    with several bad words names its first.  The intervals are then merged in
+    lex order, which is left-to-right order, so touching intervals are
+    adjacent and merge as they come (sibling pairs included).  A word that
+    starts before the previous interval ends is a repeat or an extension of an
     earlier word.
     """
     ws = list(support)
+    ints = list(map(interval, ws))
     n = max(map(len, ws), default=0)
     ends: list[int] = []
-    for m, v in map(interval, ws):
+    for i in sorted(range(len(ws)), key=ws.__getitem__):
+        m, v = ints[i]
         shift = n - m
         a = v << shift
         if ends and a < ends[-1]:
-            raise ValueError(f"support is not an antichain: {ws}")
+            raise ValueError(f"support is not an antichain: {sorted(ws)}")
         if ends and ends[-1] == a:
             ends[-1] = a + (1 << shift)
         else:

@@ -21,7 +21,7 @@ from . import _packed
 from ._frozen import Frozen
 from .elements import GroupElement, NotInF, height, is_order_preserving
 from .omega import (
-    ONE, ZERO, DiagonalProjection, InternalSearchExhausted, _wrap, act, complement, join, meet,
+    ONE, ZERO, DiagonalProjection, InternalSearchExhausted, _wrap, complement, join, meet,
     omega2_member, trace,
 )
 from .words import word_to_str
@@ -207,8 +207,8 @@ def act_truncated(f: GroupElement, pair: PairTruncation) -> PairTruncation:
             f"depth {k} window underdetermines the action of an element "
             f"with domain depth {window_requirement(f)}"
         )
-    outer = act(f, pair.left.cells)
-    inner = act(f, complement(pair.right.cells))
+    g = _packed.PackedElement(f._quads)  # f compiled once for both actions
+    outer, inner = (_wrap(g.act(*q)) for q in (pair.left.cells, complement(pair.right.cells)))
     return _window(k - height(f), join(outer, inner), complement(meet(outer, inner)))
 
 

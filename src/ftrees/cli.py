@@ -34,7 +34,7 @@ MAX_UNNF_LETTERS = 1000
 MAX_PROJECTION_SIZE = 1 << 22
 # `orbit` prints up to about 3^depth points of len(ends) * n^2 letters from a level-n start.
 # The cap admits every start two steps from 1 at depth 12; at the cap, P[1122]+P[1211]+P[2122]+
-# P[2211] to depth 12 takes 4.5-6 s and 254 MB and writes 52.5 MB (Python 3.11.7, 2 vCPUs)
+# P[2211] to depth 12 takes 6.4-6.8 s and 253 MB and writes 52.5 MB (Python 3.11.7, 2 vCPUs)
 MAX_ORBIT_SIZE = 64 * 3 ** 12
 MAX_ERROR_CHARS = 200
 

@@ -13,11 +13,10 @@ once, by `validate_unitary`; what is built from them is not rechecked.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ._frozen import Frozen
-from ._packed import PackedElement, interval, word
+from ._packed import interval, word
 from .words import CompleteCode, Quad, _diagonal, _merge_walk, _tiles, _tiling, word_to_str
 
 
@@ -80,20 +79,16 @@ class GroupElement(Frozen):
     """Canonical (reduced, alpha-sorted) unitary word sum.
 
     Each term is stored as its two intervals (`words.Quad`), beside the F
-    membership that every constructor records; `terms`, the word form, is
-    made on each read and never kept.  The constructor checks and canonicalizes
-    (alpha, beta) pairs given in any order and refinement, as
-    :func:`validate_unitary` does, raising `NotUnitary` if not unitary.
+    membership that every constructor records, and nothing else: `terms` is made
+    on each read, and each call that acts compiles its own interval map.  The
+    constructor checks and canonicalizes (alpha, beta) pairs given in any order and
+    refinement, as :func:`validate_unitary` does, raising `NotUnitary` if not unitary.
     """
 
     _quads: tuple[Quad, ...]
 
     def __init__(self, terms: Iterable[tuple[str, str]]) -> None:
         self.__dict__.update(validate_unitary(list(terms)).__dict__)
-
-    def __reduce__(self):
-        """The intervals and recorded F membership; never the compiled `_interval_map`."""
-        return _element, (self._quads, self._in_f)
 
     @property
     def terms(self) -> tuple[Term, ...]:
@@ -109,11 +104,6 @@ class GroupElement(Frozen):
 
     def is_identity(self) -> bool:
         return self._quads == ((0, 0, 0, 0),)
-
-    @cached_property
-    def _interval_map(self) -> Optional[PackedElement]:
-        """The interval map of `omega.act`, compiled once; None outside F."""
-        return PackedElement(self._quads) if self._in_f else None
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return multiply(self, other) if isinstance(other, GroupElement) else NotImplemented

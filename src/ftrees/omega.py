@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import operator
 import time
+from functools import cache
 from itertools import accumulate
 from typing import Iterable, Optional
 
@@ -32,7 +33,6 @@ from .elements import (
     NotInF,
     _element,
     _reduce_terms,
-    is_order_preserving,
     multiply,  # noqa: F401 -- bench/test_bench.py checks its tracer rebinds omega.multiply
 )
 from .generators import _generators
@@ -63,8 +63,7 @@ class DiagonalProjection(tuple):
     ends = property(operator.itemgetter(1))
 
     def __new__(cls, support: Iterable[str]) -> DiagonalProjection:
-        # `pack` checks each word too, but in sorted order: this names the input's first bad word
-        return tuple.__new__(cls, _packed.pack(sorted(_packed.check_word(w) for w in support)))
+        return tuple.__new__(cls, _packed.pack(support))
 
     def __init__(self, support: Iterable[str]) -> None:
         """Does nothing: `__new__` builds the value."""
@@ -151,12 +150,11 @@ def act(f: GroupElement, p: DiagonalProjection) -> DiagonalProjection:
 
     Each term S_alpha S_beta* maps I(beta) affinely onto I(alpha):
     even-degree terms carry the part of p there, odd-degree terms the
-    part of 1 - p.  f is compiled to its interval map once.
+    part of 1 - p.  f is compiled to its interval map for this call only.
     """
-    g = f._interval_map
-    if g is None:
+    if not f._in_f:
         raise NotInF("the action is defined for order-preserving elements")
-    return _wrap(g.act(*p))
+    return _wrap(_packed.PackedElement(f._quads).act(*p))
 
 
 def h2_member(f: GroupElement) -> bool:
@@ -165,7 +163,7 @@ def h2_member(f: GroupElement) -> bool:
     Refinement preserves degrees, so this does not depend on the chosen
     representation.
     """
-    if not is_order_preserving(f):
+    if not f._in_f:
         raise NotInF("H_2 is a subgroup of F")
     return all((la - lb) % 2 == 0 for la, _, lb, _ in f._quads)
 
@@ -259,7 +257,7 @@ def realize(p: DiagonalProjection) -> GroupElement:
     intervals of p and of their gaps, no word is made, and the cost grows
     with the atom count of p and 1 - p rather than with 2^level.  The
     certificate: both sides tile [0, 1] in alpha order, so f is a unitary
-    in F (recorded on it), and f . 1 = p, by a map that f does not keep.
+    in F (recorded on it), and `act` finds f . 1 = p.
     """
     if omega2_member(p) is None:
         raise NotInOmega2(f"tau = {trace(p)} is not k/2^(2m+1) with k = 2 mod 3")
@@ -267,11 +265,10 @@ def realize(p: DiagonalProjection) -> GroupElement:
     items: list[tuple[int, int, int]] = []  # (length, value, degree parity)
     for i in range(len(cuts) - 1):  # the gaps of p, the even segments, need odd degree
         items += [(m, v, ~i & 1) for m, v in _packed.unpack(n, cuts[i : i + 2])]
-    quads = _reduce_terms(_solve_parities(items))
-    tiled = not any(_tiles([q[k : k + 2] for q in quads]) for k in (0, 2))
-    if not (tiled and _packed.PackedElement(quads).act(0, (0, 1)) == p):
+    f = _element(_reduce_terms(_solve_parities(items)), True)
+    if any(_tiles([q[k : k + 2] for q in f._quads]) for k in (0, 2)) or act(f, ONE) != p:
         raise InternalSearchExhausted(f"parity-tree witness failed for {p}")
-    return _element(quads, True)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +294,12 @@ class OrbitRun(Frozen):
         )
 
 
+@cache
+def _generator_maps() -> tuple[_packed.PackedElement, ...]:
+    """The interval maps of `_generators()`, in its order, compiled once per process."""
+    return tuple(_packed.PackedElement(g._quads) for _, g in _generators())
+
+
 def orbit_levels(start: DiagonalProjection, depth: int) -> OrbitRun:
     """BFS under x0^+-1, x1^+-1 with discovery depths and timing; the
     generators are compiled once per process, and each image is looked up
@@ -307,7 +310,7 @@ def orbit_levels(start: DiagonalProjection, depth: int) -> OrbitRun:
         raise ValueError("depth must be >= 0")
     if omega2_member(start) is None:
         raise NotInOmega2(f"orbit start {start} is not in Omega_2")
-    gens = [g._interval_map.act for _, g in _generators()]
+    gens = [g.act for g in _generator_maps()]  # bound per call: a patched `act` sees every action
     frontier, back = [start], bytearray([4])  # each point's generator back to its parent; 4: none
     seen = {start: 0}  # projections; a raw (n, ends) finds its equal-hashing key
     levels, actions = [(0, 0, 1, 0.0)], 0

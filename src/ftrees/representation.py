@@ -19,6 +19,7 @@ from functools import cache
 from typing import Mapping, Sequence
 
 from ._frozen import Frozen
+from ._packed import PackedElement
 from .elements import GroupElement, NotInF, is_order_preserving
 from .omega import ONE, DiagonalProjection, _wrap, act, omega2_member, orbit_levels
 
@@ -66,9 +67,10 @@ def apply(f: GroupElement, v: FormalVector) -> FormalVector:
     """pi_2(f) v: relabel each basis projection by the action."""
     if not is_order_preserving(f):
         raise NotInF("pi_2 is a representation of F")
+    g = PackedElement(f._quads)  # f compiled once for the call
     out: dict[DiagonalProjection, Fraction] = {}
     for p, c in v.coefficients:
-        q = act(f, p)
+        q = _wrap(g.act(*p))
         out[q] = out.get(q, Fraction(0)) + c
     return FormalVector(out)
 
@@ -133,11 +135,11 @@ def independence_certificate(
     """
     if len(set(fs)) < len(fs):  # no point separates an element from itself
         raise ValueError("certificate requires pairwise distinct elements")
-    maps = [f._interval_map for f in fs]  # each f compiled once
-    if None in maps:
+    if not all(f._in_f for f in fs):
         raise NotInF("separating points are defined for families in F")
     if max_radius < 0:
         raise ValueError("radius must be >= 0")
+    maps = [PackedElement(f._quads) for f in fs]  # each f compiled once for the call
     order = list(range(len(maps)))
     for radius in range(max_radius + 1):
         for p in _layer(radius):

@@ -540,7 +540,7 @@ def test_packed_act_merges_and_shifts_like_the_oracle(monkeypatch):
     elements = generator_ball(3) + [random_tree_pair(rng, rng.randint(2, 16)) for _ in range(60)]
     seen = Counter()
     for f in elements:
-        g = f._interval_map
+        g = _packed.PackedElement(f._quads)
         # 0 and 1 as well: no end at all, and the coarsest input
         ps = [DiagonalProjection(random_antichain(rng, rng.randint(1, 8))) for _ in range(5)]
         for p in ps + [ZERO, ONE]:
@@ -600,6 +600,44 @@ def test_interval_reads_a_word_and_refuses_every_other_string(w):
         with pytest.raises(ValueError) as info:
             _packed.interval(w)
         assert str(info.value) == f"invalid letter {bad!r} in word {w!r}"
+
+
+def test_a_support_with_several_bad_words_names_its_first_in_input_order():
+    # input order and sorted order disagree, so a sort before the check would name the other
+    long = "1" * 9 + "x"  # past the table of short words, checked and parsed
+    cases = [(["2y", "1x"], "y", "2y"), (["2", long, "1" * 12 + "z"], "x", long)]
+    for support, letter, w in cases:
+        for ws in (support, iter(support)):
+            with pytest.raises(ValueError) as info:
+                DiagonalProjection(ws)
+            assert str(info.value) == f"invalid letter {letter!r} in word {w!r}"
+
+
+def test_a_bad_word_is_reported_before_an_antichain_fault():
+    with pytest.raises(ValueError) as info:
+        DiagonalProjection(["1", "11", "2x"])
+    assert str(info.value) == "invalid letter 'x' in word '2x'"
+    # without a bad word, the antichain fault prints the words in lex order
+    with pytest.raises(ValueError) as info:
+        DiagonalProjection(["2", "11", "1"])
+    assert str(info.value) == "support is not an antichain: ['1', '11', '2']"
+
+
+def test_a_support_checks_each_long_word_once(monkeypatch):
+    checked = []
+    check_word = _packed.check_word
+
+    def counting(w):
+        checked.append(w)
+        return check_word(w)
+
+    monkeypatch.setattr(_packed, "check_word", counting)
+    # the left comb 2, 12, 112, ..., 1^11 2, 1^12 in a seeded order: words of more than
+    # 8 letters are checked and parsed, shorter ones looked up in the table
+    support = ["1" * k + "2" for k in range(12)] + ["1" * 12]
+    random.Random(18).shuffle(support)
+    assert DiagonalProjection(support) == ONE
+    assert Counter(checked) == Counter(w for w in support if len(w) > 8)
 
 
 def test_wrapped_projection_is_the_constructed_one():

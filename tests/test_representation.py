@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from ftrees import _packed, cli, elements, representation
+from ftrees.boundary import act_truncated, embed, window_requirement
 from ftrees.elements import GroupElement, NotInF, inverse, multiply
-from ftrees.generators import _generators, gen_x, generator_ball
+from ftrees.generators import gen_x, generator_ball
 from ftrees.omega import ONE, DiagonalProjection, act, h2_member, orbit_levels
 from ftrees.representation import (
     FormalVector,
@@ -220,9 +221,19 @@ def count_acts(monkeypatch) -> list:
     return count_calls(monkeypatch, "act", lambda g, n, ends: (g, canonical(n, list(ends))))
 
 
+def count_compiles(monkeypatch) -> list:
+    """(interval map, the terms it compiles) of every compile."""
+    return count_calls(monkeypatch, "__init__", lambda g, terms: (g, terms))
+
+
+def family_maps(compiles: list, fs) -> set:
+    """The ids of the interval maps compiled from the terms of the family `fs`."""
+    family = {id(f._quads) for f in fs}
+    return {id(g) for g, terms in compiles if id(terms) in family}
+
+
 def test_certificate_compiles_each_element_once(monkeypatch):
-    for _, g in _generators():  # the orbit walk's generators compile once per process
-        g._interval_map
+    orbit_levels(ONE, 1)  # the orbit walk's generators compile once per process
     built = count_calls(monkeypatch, "__init__", lambda g, terms: terms)
     # no cached layers, so that this search walks the orbit itself
     representation._layer.cache_clear()
@@ -231,10 +242,13 @@ def test_certificate_compiles_each_element_once(monkeypatch):
     # fresh elements, so nothing was compiled before
     fs = [GroupElement(f.terms) for f in sample]
     cert = independence_certificate(fs)
-    assert cert.verify()
     # each element of the family compiles once, and the walk compiles nothing
     assert sorted(map(id, built)) == sorted(id(f._quads) for f in fs)
     assert representation._layer.cache_info().currsize > 1
+    # verify() acts by each element once, and each action compiles its own map
+    built.clear()
+    assert cert.verify()
+    assert sorted(map(id, built)) == sorted(id(f._quads) for f in fs)
     # the cached layers serve the next family: only its own elements compile
     built.clear()
     fs = [GroupElement(f.terms) for f in sample]
@@ -242,19 +256,31 @@ def test_certificate_compiles_each_element_once(monkeypatch):
     assert len(built) == len(fs)
 
 
+def test_act_apply_and_act_truncated_compile_once_per_call(monkeypatch):
+    f = generator_ball(3)[-1]
+    v = FormalVector(dict.fromkeys(representation._layer(2), 1))
+    pair = embed(ONE, window_requirement(f))
+    built = count_calls(monkeypatch, "__init__", lambda g, terms: terms)
+    for call in (lambda: act(f, ONE), lambda: apply(f, v), lambda: act_truncated(f, pair)):
+        built.clear()
+        call()
+        assert list(map(id, built)) == [id(f._quads)]
+
+
 def test_certificate_acts_on_its_point_once_per_element(monkeypatch):
-    calls = count_acts(monkeypatch)
+    calls, compiles = count_acts(monkeypatch), count_compiles(monkeypatch)
     rng = random.Random(32)
     fs = rng.sample(generator_ball(3), 20)
     cert = independence_certificate(fs)
-    family = {id(f._interval_map) for f in fs}
+    family = family_maps(compiles, fs)
+    assert len(family) == len(fs)
     assert sum(id(g) in family and p == cert.point for g, p in calls) == len(fs)
     assert cert.images == tuple(act(f, cert.point) for f in fs)
     assert cert.verify()
 
 
 def test_a_candidate_stops_at_its_first_repeated_image(monkeypatch):
-    calls = count_acts(monkeypatch)
+    calls, compiles = count_acts(monkeypatch), count_compiles(monkeypatch)
     h = GroupElement.from_terms(
         [("111", "1"), ("112", "211"), ("121", "212"), ("122", "221"), ("2", "222")]
     )
@@ -262,7 +288,7 @@ def test_a_candidate_stops_at_its_first_repeated_image(monkeypatch):
     # e and h both fix 1, so the candidate 1 fails at the second element
     fs = [GroupElement.identity(), h, *generator_ball(2)[1:]]
     cert = independence_certificate(fs)
-    family = {id(f._interval_map) for f in fs}
+    family = family_maps(compiles, fs)
     assert sum(p == ONE and id(g) in family for g, p in calls) == 2
     assert cert.point == separation_by_orbit(fs, 8)[0]
     assert cert.verify()
@@ -274,11 +300,11 @@ def test_the_separate_golden_family_is_separated_at_its_13th_candidate(monkeypat
     fs = [cli.parse_element(text) for text in case["argv"][1:]]
     assert len(fs) == 53
     candidates = [p for radius in range(4) for p in representation._layer(radius)]
-    calls = count_acts(monkeypatch)
+    calls, compiles = count_acts(monkeypatch), count_compiles(monkeypatch)
     cert = independence_certificate(fs)
     assert json.dumps(cert.to_json(), sort_keys=True) + "\n" == case["stdout"]
     assert candidates.index(cert.point) == 12
-    family = {id(f._interval_map) for f in fs}
+    family = family_maps(compiles, fs)
     assert sum(id(g) in family for g, _ in calls) == 242
 
 

@@ -17,8 +17,10 @@ from ftrees import (
     IndependenceCertificate, NormalFormWord, PairTruncation, TreeTruncation, embed,
 )
 from ftrees._frozen import Frozen
+from ftrees.boundary import act_truncated, window_requirement
 from ftrees.generators import generator_ball
-from ftrees.omega import OrbitRun, act
+from ftrees.omega import OrbitRun, act, coset_invariant, realize
+from ftrees.representation import apply, independence_certificate
 
 P1, P2, P12 = DiagonalProjection(["1"]), DiagonalProjection(["2"]), DiagonalProjection(["12"])
 X0 = "11:1 + 12:21 + 2:22"
@@ -150,21 +152,26 @@ def test_copies_and_pickles_are_equal(v, same, other, fields, text):
 
 
 def test_an_element_that_has_acted_copies_and_pickles_without_its_interval_map():
-    # acting compiles a slotted interval map onto the element, which pickle
-    # protocols 0 and 1 refuse; copies keep only the terms and F membership
+    # each action compiles its own interval map and keeps none: an element that
+    # has acted in every way holds only its intervals and F membership, and its
+    # pickles are byte for byte those it had before it acted
     g = generator_ball(3)[-1]
     protocols = range(pickle.HIGHEST_PROTOCOL + 1)
-    before = [len(pickle.dumps(g, protocol)) for protocol in protocols]
+    before = [pickle.dumps(g, protocol) for protocol in protocols]
     image = act(g, ONE)
-    assert "_interval_map" in vars(g)
-    copies = [copy.copy(g), copy.deepcopy(g)]
-    for protocol, size in zip(protocols, before):
-        data = pickle.dumps(g, protocol)
-        assert len(data) <= size, protocol
-        copies.append(pickle.loads(data))
+    assert coset_invariant(g) == image
+    assert apply(g, FormalVector.basis(ONE)) == FormalVector.basis(image)
+    act_truncated(g, embed(ONE, window_requirement(g)))
+    cert = independence_certificate([GroupElement.identity(), g])
+    assert cert.verify()
+    witness = realize(image)
+    for f in (g, witness, *cert.elements):
+        assert set(vars(f)) == {"_quads", "_in_f"}
+    assert [pickle.dumps(g, protocol) for protocol in protocols] == before
+    copies = [copy.copy(g), copy.deepcopy(g)] + [pickle.loads(data) for data in before]
     for c in copies:
         assert type(c) is GroupElement and c == g and str(c) == str(g)
-        assert set(vars(c)) == {"_quads", "_in_f"}
+        assert vars(c) == vars(g)
         assert act(c, ONE) == image
 
 
